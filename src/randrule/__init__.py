@@ -66,7 +66,6 @@ from .mixtures import (
     ClassComponent,
     Density,
     IsotropicGaussian,
-    LabeledCase,
     LabelId,
     Mixture,
     UniformInterval,
@@ -77,7 +76,6 @@ from .mixtures import (
     posterior,
     posterior_matrix,
     sample_case_arrays,
-    sample_cases,
     uniform_overlap_mixture,
 )
 from .ordinal import (

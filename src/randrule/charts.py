@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InputError
 from .survey import SurveyDataset
 
@@ -115,8 +117,7 @@ def _fractions(dataset: SurveyDataset, question: str, group: str, k: int) -> lis
     responses = dataset.responses(question, group)
     if not responses:
         raise InputError(f"group {group!r} has no responses for question {question!r}")
-    total = len(responses)
-    return [sum(1 for r in responses if r == code) / total for code in range(1, k + 1)]
+    return (np.bincount(responses, minlength=k + 1)[1:] / len(responses)).tolist()
 
 
 def _text(x: float, y: float, content: str, anchor: str = "start", size: int = 12) -> str:

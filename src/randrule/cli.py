@@ -193,7 +193,7 @@ def _parse_values(text: str, flag: str) -> list[float]:
 
 
 def _cmd_mwu(args: argparse.Namespace) -> int:
-    result = mann_whitney_u(_parse_values(args.x, "--x"), _parse_values(args.y, "--y"), args.alpha)
+    result = mann_whitney_u(_parse_values(args.x, "--x"), _parse_values(args.y, "--y"))
     rows = [
         [
             _num(result.u_x),
@@ -300,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mwu", parents=[shared], help="Mann-Whitney U test on two samples")
     p.add_argument("--x", required=True, help="comma-separated sample values")
     p.add_argument("--y", required=True, help="comma-separated sample values")
-    p.add_argument("--alpha", type=float, default=0.05)
     p.set_defaults(func=_cmd_mwu)
 
     p = sub.add_parser("compare", parents=[shared], help="rank-compare two groups from a survey CSV")

@@ -19,8 +19,8 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import InputError, UnsupportedEvidenceError
-from .mixtures import IsotropicGaussian, Mixture, _pdf_matrix, _sample_arrays_seq, posterior
+from .errors import InputError
+from .mixtures import IsotropicGaussian, Mixture, _pdf_matrix, _sample_arrays_seq, _weighted_pdf_matrix, posterior
 from .rng import generator
 
 __all__ = [
@@ -171,12 +171,7 @@ def expected_cost_of_classifier(mixture: Mixture, cost: CostMatrix, classifier: 
 
 def _bayes_scores(mixture: Mixture, cost: CostMatrix, X: np.ndarray) -> np.ndarray:
     """Unnormalized decision scores: scores[i, d] = sum_j pi_j kappa[j, d] f_j(x_i)."""
-    weighted = _pdf_matrix(mixture, X) * mixture.priors
-    total = weighted.sum(axis=1)
-    if np.any(total <= 0.0):
-        bad = int(np.flatnonzero(total <= 0.0)[0])
-        raise UnsupportedEvidenceError(f"evidence {X[bad]} has zero density under every class")
-    return weighted @ cost.values
+    return _weighted_pdf_matrix(mixture, X) @ cost.values
 
 
 def bayes_decide(mixture: Mixture, cost: CostMatrix, x) -> int:

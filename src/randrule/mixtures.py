@@ -34,13 +34,11 @@ __all__ = [
     "Density",
     "ClassComponent",
     "Mixture",
-    "LabeledCase",
     "uniform_overlap_mixture",
     "gaussian_mixture",
     "density_at",
     "posterior",
     "posterior_matrix",
-    "sample_cases",
     "sample_case_arrays",
     "mixture_from_dict",
     "load_mixture",
@@ -165,14 +163,6 @@ class Mixture:
         return arr.reshape(1, -1)
 
 
-@dataclass(frozen=True, eq=False)
-class LabeledCase:
-    """A sampled case: evidence vector plus the class that generated it."""
-
-    x: np.ndarray
-    label: LabelId
-
-
 def uniform_overlap_mixture(a: float, b: float) -> Mixture:
     """Equal-weight mixture of intervals [0, b] and [a, a+b].
 
@@ -221,6 +211,20 @@ def _pdf_matrix(mixture: Mixture, X: np.ndarray) -> np.ndarray:
     return np.stack([c.density.pdf(X) for c in mixture.components], axis=1)
 
 
+def _weighted_pdf_matrix(mixture: Mixture, X: np.ndarray) -> np.ndarray:
+    """Prior-weighted densities ``pi_j f_j(x_i)`` as an (n, k) array.
+
+    Raises :class:`UnsupportedEvidenceError` if any row has zero density
+    under every class.
+    """
+    weighted = _pdf_matrix(mixture, X) * mixture.priors
+    total = weighted.sum(axis=1)
+    if np.any(total <= 0.0):
+        bad = int(np.flatnonzero(total <= 0.0)[0])
+        raise UnsupportedEvidenceError(f"evidence {X[bad]} has zero density under every class")
+    return weighted
+
+
 def posterior_matrix(mixture: Mixture, X: np.ndarray) -> np.ndarray:
     """Posterior class probabilities for each row of an (n, d) batch.
 
@@ -230,14 +234,8 @@ def posterior_matrix(mixture: Mixture, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != mixture.dimension:
         raise InputError(f"expected an (n, {mixture.dimension}) evidence array")
-    weighted = _pdf_matrix(mixture, X) * mixture.priors
-    total = weighted.sum(axis=1)
-    if np.any(total <= 0.0):
-        bad = int(np.flatnonzero(total <= 0.0)[0])
-        raise UnsupportedEvidenceError(
-            f"evidence {X[bad]} has zero density under every class"
-        )
-    return weighted / total[:, None]
+    weighted = _weighted_pdf_matrix(mixture, X)
+    return weighted / weighted.sum(axis=1)[:, None]
 
 
 def posterior(mixture: Mixture, x) -> np.ndarray:
@@ -286,12 +284,6 @@ def sample_case_arrays(mixture: Mixture, n: int, seed: int) -> tuple[np.ndarray,
     sample of size n coincide with the sample of size m for every m <= n.
     """
     return _sample_arrays_seq(mixture, n, np.random.SeedSequence(seed))
-
-
-def sample_cases(mixture: Mixture, n: int, seed: int) -> list[LabeledCase]:
-    """Like :func:`sample_case_arrays` but wrapped as :class:`LabeledCase` values."""
-    X, labels = sample_case_arrays(mixture, n, seed)
-    return [LabeledCase(X[i].copy(), int(labels[i])) for i in range(n)]
 
 
 def _density_from_dict(obj: dict) -> Density:

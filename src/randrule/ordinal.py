@@ -82,38 +82,26 @@ class MwuResult:
     m: int
 
 
-def _midranks(pooled: np.ndarray) -> np.ndarray:
-    """1-based ranks with tied values sharing the mean of their rank block."""
-    order = np.argsort(pooled, kind="stable")
-    sorted_vals = pooled[order]
-    ranks = np.empty(pooled.size)
-    i = 0
-    while i < pooled.size:
-        j = i + 1
-        while j < pooled.size and sorted_vals[j] == sorted_vals[i]:
-            j += 1
-        ranks[order[i:j]] = (i + j + 1) / 2.0
-        i = j
-    return ranks
+def _midranks(pooled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """1-based ranks with tied values sharing the mean of their rank block.
 
-
-def mann_whitney_u(x: SampleLike, y: SampleLike, alpha: float = 0.05) -> MwuResult:
-    """Two-sided Mann-Whitney U test via the normal approximation.
-
-    ``alpha`` is validated for callers that attach significance verdicts but
-    does not affect the statistics.
+    Also returns the size of each block of equal values, in sorted order.
     """
-    if not 0.0 < alpha < 1.0:
-        raise InputError(f"alpha must lie strictly between 0 and 1, got {alpha}")
+    _, inverse, sizes = np.unique(pooled, return_inverse=True, return_counts=True)
+    ends = np.cumsum(sizes)
+    return ((2 * ends - sizes + 1) / 2.0)[inverse], sizes
+
+
+def mann_whitney_u(x: SampleLike, y: SampleLike) -> MwuResult:
+    """Two-sided Mann-Whitney U test via the normal approximation."""
     xs = _as_sample(x)
     ys = _as_sample(y)
     n, m = xs.n, ys.n
     pooled = np.concatenate([xs.values, ys.values])
-    ranks = _midranks(pooled)
+    ranks, tie_sizes = _midranks(pooled)
     u_x = float(ranks[:n].sum() - n * (n + 1) / 2.0)
     u_y = float(n * m - u_x)
 
-    _, tie_sizes = np.unique(pooled, return_counts=True)
     has_ties = bool(np.any(tie_sizes > 1))
     total = n + m
     tie_term = float((tie_sizes.astype(float) ** 3 - tie_sizes).sum())

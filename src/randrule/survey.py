@@ -9,7 +9,7 @@ question, responses coded 1..k, an empty field meaning missing. Each
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import InputError
@@ -36,10 +36,17 @@ class SurveyRecord:
 
 @dataclass(frozen=True)
 class SurveyDataset:
-    """Validated long-form survey records with a declared category count."""
+    """Validated long-form survey records with a declared category count.
+
+    Building a dataset makes the only pass over ``records``: it validates
+    each one and indexes the non-missing responses by question and group.
+    Every lookup reads that index.
+    """
 
     records: tuple[SurveyRecord, ...]
     category_count: int = 5
+    _groups: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    _index: dict[str, dict[str, list[int]]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         records = tuple(self.records)
@@ -48,6 +55,8 @@ class SurveyDataset:
         if self.category_count < 2:
             raise InputError(f"category count must be >= 2, got {self.category_count}")
         seen: set[tuple[str, str]] = set()
+        groups: dict[str, None] = {}
+        index: dict[str, dict[str, list[int]]] = {}
         for rec in records:
             if not rec.group:
                 raise InputError(f"record {rec.respondent_id!r}/{rec.question!r} has an empty group")
@@ -59,31 +68,25 @@ class SurveyDataset:
                 raise InputError(
                     f"response {rec.response} for respondent {rec.respondent_id!r} outside 1..{self.category_count}"
                 )
+            groups[rec.group] = None
+            answers = index.setdefault(rec.question, {}).setdefault(rec.group, [])
+            if rec.response is not None:
+                answers.append(rec.response)
         object.__setattr__(self, "records", records)
+        object.__setattr__(self, "_groups", tuple(groups))
+        object.__setattr__(self, "_index", index)
 
     def groups(self) -> list[str]:
         """Group names in first-appearance order."""
-        out: list[str] = []
-        for rec in self.records:
-            if rec.group not in out:
-                out.append(rec.group)
-        return out
+        return list(self._groups)
 
     def questions(self) -> list[str]:
         """Question ids in first-appearance order."""
-        out: list[str] = []
-        for rec in self.records:
-            if rec.question not in out:
-                out.append(rec.question)
-        return out
+        return list(self._index)
 
     def responses(self, question: str, group: str) -> list[int]:
         """Non-missing responses of one group to one question, in record order."""
-        return [
-            rec.response
-            for rec in self.records
-            if rec.question == question and rec.group == group and rec.response is not None
-        ]
+        return list(self._index.get(question, {}).get(group, ()))
 
     def sample(self, question: str, group: str) -> OrdinalSample:
         values = self.responses(question, group)
@@ -156,6 +159,8 @@ def compare_groups(
     Questions listed in ``categorical`` have unordered answer options, so a
     rank test is refused.
     """
+    if not 0.0 < alpha < 1.0:
+        raise InputError(f"alpha must lie strictly between 0 and 1, got {alpha}")
     if question in categorical:
         raise InputError(
             f"question {question!r} is declared categorical; the rank test needs ordinal codes"
@@ -166,5 +171,5 @@ def compare_groups(
     for g in (group_a, group_b):
         if g not in known:
             raise InputError(f"unknown group {g!r} (available: {', '.join(known)})")
-    result = mann_whitney_u(dataset.sample(question, group_a), dataset.sample(question, group_b), alpha)
+    result = mann_whitney_u(dataset.sample(question, group_a), dataset.sample(question, group_b))
     return GroupComparison(question, group_a, group_b, result, alpha, result.p_two_sided < alpha)

@@ -266,6 +266,17 @@ class TestReport:
         assert "wrote" in out
 
 
+def test_alpha_outside_the_open_unit_interval_exits_2(capsys, survey_file, tmp_path):
+    compare = ["compare", "--data", survey_file, "--question", "q1", "--groups", "teachers,academics"]
+    report = ["report", "--data", survey_file, "--out-dir", str(tmp_path)]
+    mwu = ["mwu", "--x", "1", "--y", "2"]
+    # compare and report validate alpha; mwu no longer takes it
+    for argv in (compare + ["--alpha", "0"], report + ["--alpha", "1"], mwu + ["--alpha", "0.5"]):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert "alpha" in err
+
+
 class TestParser:
     def test_unknown_subcommand_exits_2(self, capsys):
         assert main(["frobnicate"]) == 2

@@ -111,6 +111,12 @@ class TestCompareGroups:
         comp = compare_groups(ds, "q1", "teachers", "academics", alpha=0.05)
         assert comp.significant == (comp.result.p_two_sided < 0.05)
 
+    def test_alpha_is_validated(self, tmp_path):
+        ds = load_survey_csv(write_csv(tmp_path / "s.csv", separated_rows()))
+        for alpha in (0.0, 1.0):
+            with pytest.raises(InputError, match="alpha"):
+                compare_groups(ds, "q1", "teachers", "academics", alpha=alpha)
+
     def test_unknown_question_and_group(self, tmp_path):
         ds = load_survey_csv(write_csv(tmp_path / "s.csv", separated_rows()))
         with pytest.raises(InputError, match="unknown question"):
