@@ -17,13 +17,13 @@ from randrule import (
     expected_payoff,
     find_pure_nash,
     is_nash,
-    solve_2x2_zero_sum,
+    solve_zero_sum,
 )
 
 
 def describe(name, scenario):
     game = build_harm_game(scenario)
-    solution = solve_2x2_zero_sum(game)
+    solution = solve_zero_sum(game)
     p_x, p_y = solution.profile.row.probs
     print(f"\n{name}")
     print(f"  payoffs if wrong: harm X costs {scenario.m_x * scenario.v_x:g}, harm Y costs {scenario.m_y * scenario.v_y:g}")
@@ -41,7 +41,7 @@ def main():
     print("\nWarm-up: matching pennies, the canonical no-pure-equilibrium game")
     mp = build_matching_pennies()
     print(f"  pure equilibria: {find_pure_nash(mp) or 'none'}")
-    solution = solve_2x2_zero_sum(mp)
+    solution = solve_zero_sum(mp)
     mix = ", ".join(f"{p:g}" for p in solution.profile.row.probs)
     print(f"  equilibrium: both mix ({mix}) for value {solution.value:g}")
     naive = MixedProfile(MixedStrategy.pure(0, 2), MixedStrategy.pure(1, 2))
@@ -72,7 +72,7 @@ def main():
     print("in the dilemma's usual telling): the fault distribution makes the")
     print("decision-maker indifferent between its two actions.")
     game = build_harm_game(HarmScenario(1.0, 2.0, 1.0, 6.0))
-    solution = solve_2x2_zero_sum(game)
+    solution = solve_zero_sum(game)
     env = solution.profile.col.probs
     decision_payoffs = game.row_payoff @ env
     print(f"  environment mixes fault: X with {env[0]:.4g}, Y with {env[1]:.4g}")

@@ -5,9 +5,9 @@ The library covers four connected pieces:
 * known class mixtures with Bayes-optimal and randomized classifiers,
   including the overlapping-uniforms setting where a coin-flip rule matches
   the best deterministic rule exactly;
-* two-player matrix games with exact 2x2 zero-sum equilibria (matching
-  pennies, the harm-allocation dilemma) and fictitious play for larger
-  games;
+* two-player matrix games with one exact solver for every zero-sum game
+  of up to ten rows plus columns (matching pennies, rock-paper-scissors,
+  the harm-allocation dilemma) and fictitious play as learning dynamics;
 * repeated play showing how pure strategies get exploited by a frequency
   learner while equilibrium mixes do not;
 * ordinal survey statistics: Mann-Whitney U with tie handling, descriptive
@@ -59,7 +59,7 @@ from .games import (
     game_value,
     is_nash,
     load_game,
-    solve_2x2_zero_sum,
+    solve_zero_sum,
     zero_sum_game,
 )
 from .mixtures import (

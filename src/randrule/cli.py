@@ -35,7 +35,7 @@ from .games import (
     fictitious_play,
     is_nash,
     load_game,
-    solve_2x2_zero_sum,
+    solve_zero_sum,
 )
 from .mixtures import Mixture, UniformInterval, load_mixture
 from .ordinal import mann_whitney_u
@@ -140,7 +140,7 @@ def _parse_game(args: argparse.Namespace):
 def _cmd_solve_game(args: argparse.Namespace) -> int:
     game = _parse_game(args)
     if args.method == "exact":
-        solution = solve_2x2_zero_sum(game)
+        solution = solve_zero_sum(game)
         profile, value, tol = solution.profile, solution.value, 1e-9
     else:
         result = fictitious_play(game, args.iters, args.seed)
@@ -265,9 +265,15 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
+def _seed(text: str) -> int:
+    if not 0 <= int(text) < 2**64:
+        raise argparse.ArgumentTypeError(f"must satisfy 0 <= seed < 2**64, got {text}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--seed", type=int, default=0, help="64-bit seed for anything stochastic")
+    shared.add_argument("--seed", type=_seed, default=0, help="64-bit seed for anything stochastic")
     shared.add_argument("--out-dir", default=".", help="directory for generated files")
     shared.add_argument("--format", choices=["table", "csv"], default="table", help="stdout format")
 

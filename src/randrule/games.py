@@ -2,14 +2,15 @@
 
 Covers the dilemma games where pure strategies fail: matching pennies,
 rock-paper-scissors, and the harm-allocation game in which a decision-maker
-must hurt one of two parties without knowing who is at fault. 2x2 zero-sum
-games are solved exactly by the indifference equations; larger zero-sum
-games are approximated by fictitious play.
+must hurt one of two parties without knowing who is at fault. Every zero-sum
+game within ``MAX_EXACT_ACTIONS`` is solved exactly by one mechanism, the
+Shapley-Snow kernels; fictitious play shows how the equilibrium is learned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations, product
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,7 @@ __all__ = [
     "build_harm_game",
     "expected_payoff",
     "find_pure_nash",
-    "solve_2x2_zero_sum",
+    "solve_zero_sum",
     "is_nash",
     "fictitious_play",
     "game_value",
@@ -41,6 +42,7 @@ __all__ = [
 
 STRATEGY_SUM_TOL = 1e-12
 NASH_TOL = 1e-9
+MAX_EXACT_ACTIONS = 10  # rows plus columns; an m x n game has C(m + n, m) - 1 <= 251 square blocks
 
 
 def _payoff_array(values, side: str) -> np.ndarray:
@@ -218,36 +220,39 @@ def find_pure_nash(game: NormalFormGame) -> list[tuple[int, int]]:
     return [(int(i), int(j)) for i, j in cells]
 
 
-def solve_2x2_zero_sum(game: NormalFormGame) -> ZeroSumSolution:
-    """Exact equilibrium of a 2x2 zero-sum game.
+def _cofactor(m: list[list[float]], i: int, j: int) -> float:
+    """Signed minor by Laplace expansion; exact for 1x1 blocks, unlike np.linalg.det."""
+    minor = [row[:j] + row[j + 1 :] for r, row in enumerate(m) if r != i]
+    return (-1) ** (i + j) * (sum(minor[0][c] * _cofactor(minor, 0, c) for c in range(len(minor))) if minor else 1.0)
 
-    A pure saddle point is returned as a degenerate mixed profile; otherwise
-    the unique fully mixed equilibrium follows from the indifference
-    equations. The result always passes :func:`is_nash` at 1e-9.
+
+def solve_zero_sum(game: NormalFormGame) -> ZeroSumSolution:
+    """Exact equilibrium of a zero-sum game with at most ``MAX_EXACT_ACTIONS`` rows plus columns.
+
+    Shapley-Snow kernels: a square block ``M`` of the payoff matrix with ``s = 1' adj(M) 1 != 0``
+    proposes the mixes ``1' adj(M) / s`` and ``adj(M) 1 / s`` and the value ``det(M) / s``, with
+    ``det(M) = M[0] adj(M)[:, 0]``. Blocks are tried by size, then in combinations order, so 1x1 blocks
+    are the pure saddles in :func:`find_pure_nash` order. The first proposal passing :func:`is_nash` at 1e-9 wins.
     """
-    if game.row_actions != 2 or game.col_actions != 2:
-        raise InputError("exact solver only handles 2x2 games")
     if not game.zero_sum:
         raise InputError("exact solver only handles zero-sum games")
-    saddles = find_pure_nash(game)
-    if saddles:
-        i, j = saddles[0]
-        profile = MixedProfile(MixedStrategy.pure(i, 2), MixedStrategy.pure(j, 2))
-        solution = ZeroSumSolution(profile, float(game.row_payoff[i, j]))
-    else:
-        (a, b), (c, d) = game.row_payoff
-        denom = (a - b) - c + d
-        p = (d - c) / denom
-        q = (d - b) / denom
-        value = (a * d - b * c) / denom
-        profile = MixedProfile(
-            MixedStrategy(np.array([p, 1.0 - p])),
-            MixedStrategy(np.array([q, 1.0 - q])),
-        )
-        solution = ZeroSumSolution(profile, float(value))
-    if not is_nash(game, solution.profile, NASH_TOL):
-        raise ArithmeticError("indifference solution failed the equilibrium check")
-    return solution
+    rows, cols = game.row_actions, game.col_actions
+    if rows + cols > MAX_EXACT_ACTIONS:
+        raise InputError(f"{rows}x{cols} game exceeds {MAX_EXACT_ACTIONS} rows plus columns; use fictitious play")
+    for k in range(1, min(rows, cols) + 1):
+        for S, T in product(combinations(range(rows), k), combinations(range(cols), k)):
+            block = game.row_payoff[np.ix_(S, T)].tolist()
+            adj = np.array([[_cofactor(block, j, i) for j in range(k)] for i in range(k)])
+            s = adj.sum()
+            if s == 0:
+                continue
+            x, y = np.zeros(rows), np.zeros(cols)
+            x[list(S)], y[list(T)] = adj.sum(axis=0) / s, adj.sum(axis=1) / s
+            if x.min() >= 0 and y.min() >= 0:
+                profile = MixedProfile(MixedStrategy(x), MixedStrategy(y))
+                if is_nash(game, profile, NASH_TOL):
+                    return ZeroSumSolution(profile, float(sum(a * c for a, c in zip(block[0], adj[:, 0])) / s))
+    raise ArithmeticError("no square block of the payoff matrix passed the equilibrium check")
 
 
 def is_nash(game: NormalFormGame, profile: MixedProfile, tol: float = NASH_TOL) -> bool:
@@ -256,7 +261,7 @@ def is_nash(game: NormalFormGame, profile: MixedProfile, tol: float = NASH_TOL) 
     For a fully mixed strategy the supported pure payoffs must also be
     indifferent within ``tol``.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise InputError("tolerance must be positive")
     _check_profile(game, profile)
     row_purepay = game.row_payoff @ profile.col.probs
@@ -317,20 +322,9 @@ def fictitious_play(game: NormalFormGame, iterations: int, tie_seed: int = 0) ->
     return FictitiousPlayResult(profile, total_payoff / iterations, iterations)
 
 
-def game_value(game: NormalFormGame, iterations: int = 100_000, tie_seed: int = 0) -> float:
-    """Row player's equilibrium payoff of a zero-sum game.
-
-    Exact for 2x2 games and for antisymmetric square games (value 0 by
-    symmetry); otherwise a fictitious-play estimate.
-    """
-    if not game.zero_sum:
-        raise InputError("game value is defined here for zero-sum games only")
-    if game.row_actions == 2 and game.col_actions == 2:
-        return solve_2x2_zero_sum(game).value
-    A = game.row_payoff
-    if A.shape[0] == A.shape[1] and np.array_equal(A, -A.T):
-        return 0.0
-    return fictitious_play(game, iterations, tie_seed).value_estimate
+def game_value(game: NormalFormGame) -> float:
+    """Row player's equilibrium payoff of a zero-sum game, exact (see :func:`solve_zero_sum`)."""
+    return solve_zero_sum(game).value
 
 
 def game_from_dict(obj: dict) -> NormalFormGame:

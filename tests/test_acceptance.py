@@ -41,7 +41,7 @@ from randrule import (
     run_repeated,
     run_report,
     sample_case_arrays,
-    solve_2x2_zero_sum,
+    solve_zero_sum,
     two_class_likelihood_rule,
     uniform_overlap_mixture,
 )
@@ -96,7 +96,7 @@ def test_criterion_2_constant_classifier_errs_half_the_time():
 
 def test_criterion_3_harm_game_equilibrium_is_exact():
     game = build_harm_game(HarmScenario(1.0, 2.0, 1.0, 6.0))
-    solution = solve_2x2_zero_sum(game)
+    solution = solve_zero_sum(game)
     assert solution.profile.row.probs[0] == 0.75
     assert solution.profile.row.probs[1] == 0.25
     assert is_nash(game, solution.profile, 1e-9)

@@ -142,10 +142,24 @@ class TestSolveGame:
         assert rows["value"] == "1.5"
         assert rows["row"] == "0.25 0.75"
 
-    def test_exact_method_rejects_3x3(self, capsys):
-        code, _, err = run(capsys, "solve-game", "--game", "rps")
+    def test_exact_method_solves_3x3_games(self, capsys):
+        code, out, _ = run(capsys, "solve-game", "--game", "rps", "--format", "csv")
+        assert code == 0
+        rows = {r[0]: r[1] for r in csv_out(out)[1:]}
+        assert rows["row"] == rows["col"] == "0.333333 0.333333 0.333333"
+        assert rows["value"] == "0"
+        game = json.dumps({"row_payoff": [[3, -1, 0], [-2, 4, 1], [0, 1, -3]], "zero_sum": True})
+        code, out, _ = run(capsys, "solve-game", "--game", game, "--format", "csv")
+        assert code == 0
+        rows = {r[0]: r[1] for r in csv_out(out)[1:]}
+        assert rows["value"] == "0.5"
+        assert rows["is_nash(tol=1e-09)"] == "true"
+
+    def test_exact_method_rejects_games_past_the_size_limit(self, capsys):
+        game = json.dumps({"row_payoff": [[0] * 5] * 6, "zero_sum": True})
+        code, _, err = run(capsys, "solve-game", "--game", game)
         assert code == 2
-        assert "2x2" in err
+        assert "6x5" in err
 
     def test_bad_harm_spec(self, capsys):
         code, _, err = run(capsys, "solve-game", "--harm", "1,2,3")
@@ -275,6 +289,23 @@ def test_alpha_outside_the_open_unit_interval_exits_2(capsys, survey_file, tmp_p
         code, _, err = run(capsys, *argv)
         assert code == 2
         assert "alpha" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve-game", "--game", "rps", "--method", "fp", "--iters", "10"],
+        ["classify-demo", "--mixture", json.dumps(OVERLAP_MIXTURE), "--classifier", "mr", "--n", "10"],
+        ["simulate-repeated", "--game", "mp", "--row", "pure:0", "--col", "exploiter", "--rounds", "10"],
+    ],
+)
+def test_seed_outside_64_bits_exits_2(capsys, argv):
+    for seed in ("-1", str(2**64), "x"):
+        code, _, err = run(capsys, *argv, "--seed", seed)
+        assert code == 2
+        assert "--seed" in err
+    code, _, _ = run(capsys, *argv, "--seed", str(2**64 - 1))
+    assert code == 0
 
 
 class TestParser:

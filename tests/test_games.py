@@ -19,7 +19,7 @@ from randrule import (
     game_value,
     is_nash,
     load_game,
-    solve_2x2_zero_sum,
+    solve_zero_sum,
     zero_sum_game,
 )
 
@@ -137,25 +137,25 @@ class TestPureNash:
 class TestExactSolver:
     def test_harm_game_equilibrium_matches_closed_form(self):
         g = build_harm_game(HarmScenario(1.0, 2.0, 1.0, 6.0))
-        sol = solve_2x2_zero_sum(g)
+        sol = solve_zero_sum(g)
         assert np.array_equal(sol.profile.row.probs, [0.75, 0.25])
         assert sol.value == -1.5
         assert is_nash(g, sol.profile, 1e-9)
 
     def test_matching_pennies_mixes_evenly(self):
-        sol = solve_2x2_zero_sum(build_matching_pennies())
+        sol = solve_zero_sum(build_matching_pennies())
         assert np.array_equal(sol.profile.row.probs, [0.5, 0.5])
         assert np.array_equal(sol.profile.col.probs, [0.5, 0.5])
         assert sol.value == 0.0
 
     def test_textbook_indifference_example(self):
-        sol = solve_2x2_zero_sum(zero_sum_game([[3.0, 0.0], [1.0, 2.0]]))
+        sol = solve_zero_sum(zero_sum_game([[3.0, 0.0], [1.0, 2.0]]))
         assert sol.profile.row.probs == pytest.approx([0.25, 0.75], abs=1e-15)
         assert sol.profile.col.probs == pytest.approx([0.5, 0.5], abs=1e-15)
         assert sol.value == pytest.approx(1.5, abs=1e-15)
 
     def test_saddle_returned_as_degenerate_profile(self):
-        sol = solve_2x2_zero_sum(zero_sum_game([[2.0, 1.0], [4.0, 3.0]]))
+        sol = solve_zero_sum(zero_sum_game([[2.0, 1.0], [4.0, 3.0]]))
         assert np.array_equal(sol.profile.row.probs, [0.0, 1.0])
         assert np.array_equal(sol.profile.col.probs, [0.0, 1.0])
         assert sol.value == 3.0
@@ -165,7 +165,7 @@ class TestExactSolver:
         for _ in range(100):
             m_x, m_y = rng.uniform(0.05, 5.0, size=2)
             v_x, v_y = rng.uniform(0.1, 10.0, size=2)
-            sol = solve_2x2_zero_sum(build_harm_game(HarmScenario(m_x, v_x, m_y, v_y)))
+            sol = solve_zero_sum(build_harm_game(HarmScenario(m_x, v_x, m_y, v_y)))
             total = m_x * v_x + m_y * v_y
             assert sol.profile.row.probs[0] == (m_y * v_y) / total
             assert is_nash(build_harm_game(HarmScenario(m_x, v_x, m_y, v_y)), sol.profile, 1e-9)
@@ -173,23 +173,29 @@ class TestExactSolver:
     def test_degenerate_scenario_harms_the_blameless_free_side(self):
         # m_x v_x = 0: harming X never costs anything, a pure equilibrium
         g = build_harm_game(HarmScenario(0.0, 1.0, 2.0, 3.0))
-        sol = solve_2x2_zero_sum(g)
+        sol = solve_zero_sum(g)
         assert np.array_equal(sol.profile.row.probs, [1.0, 0.0])
         assert sol.value == 0.0
 
     def test_rejects_wrong_shapes(self):
+        with pytest.raises(InputError, match="6x5"):
+            solve_zero_sum(zero_sum_game(np.ones((6, 5))))
         with pytest.raises(InputError):
-            solve_2x2_zero_sum(build_rock_paper_scissors())
-        with pytest.raises(InputError):
-            solve_2x2_zero_sum(NormalFormGame([[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]]))
+            solve_zero_sum(NormalFormGame([[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]]))
+
+    def test_rock_paper_scissors_mixes_exactly_evenly(self):
+        sol = solve_zero_sum(build_rock_paper_scissors())
+        assert np.array_equal(sol.profile.row.probs, [1 / 3, 1 / 3, 1 / 3])
+        assert np.array_equal(sol.profile.col.probs, [1 / 3, 1 / 3, 1 / 3])
+        assert sol.value == 0.0
 
     def test_scaling_payoffs_scales_the_value_only(self):
         rng = np.random.Generator(np.random.PCG64(13))
         for _ in range(50):
             a = rng.uniform(-4, 4, size=(2, 2))
             factor = float(rng.uniform(0.1, 9.0))
-            sol = solve_2x2_zero_sum(zero_sum_game(a))
-            scaled = solve_2x2_zero_sum(zero_sum_game(a * factor))
+            sol = solve_zero_sum(zero_sum_game(a))
+            scaled = solve_zero_sum(zero_sum_game(a * factor))
             assert scaled.profile.row.probs == pytest.approx(sol.profile.row.probs, abs=1e-12)
             assert scaled.profile.col.probs == pytest.approx(sol.profile.col.probs, abs=1e-12)
             assert scaled.value == pytest.approx(sol.value * factor, rel=1e-9, abs=1e-12)
@@ -200,7 +206,7 @@ class TestExactSolver:
         for _ in range(200):
             a = rng.uniform(-4, 4, size=(2, 2))
             g = zero_sum_game(a)
-            sol = solve_2x2_zero_sum(g)
+            sol = solve_zero_sum(g)
             if not sol.profile.row.is_fully_mixed():
                 continue
             seen_mixed += 1
@@ -223,7 +229,7 @@ class TestIsNash:
 
     def test_environment_is_indifferent_at_the_harm_equilibrium(self):
         g = build_harm_game(HarmScenario(1.0, 2.0, 1.0, 6.0))
-        sol = solve_2x2_zero_sum(g)
+        sol = solve_zero_sum(g)
         env_payoffs = sol.profile.row.probs @ g.col_payoff
         assert abs(env_payoffs[0] - env_payoffs[1]) <= 1e-12
         assert env_payoffs[0] == pytest.approx(2.0 * 6.0 / 8.0, abs=1e-12)
@@ -237,6 +243,8 @@ class TestIsNash:
         g = build_matching_pennies()
         with pytest.raises(InputError):
             is_nash(g, MixedProfile(MixedStrategy.uniform(2), MixedStrategy.uniform(2)), 0.0)
+        with pytest.raises(InputError):
+            is_nash(g, MixedProfile(MixedStrategy.pure(0, 2), MixedStrategy.pure(1, 2)), float("nan"))
 
 
 class TestFictitiousPlay:
@@ -278,10 +286,10 @@ class TestGameValue:
     def test_zero_for_antisymmetric(self):
         assert game_value(build_rock_paper_scissors()) == 0.0
 
-    def test_larger_games_fall_back_to_fictitious_play(self):
+    def test_larger_games_are_exact(self):
         # 3x3 with a saddle at (0, 0): maximin = minimax = 1
         g = zero_sum_game([[1.0, 2.0, 3.0], [0.0, 5.0, 1.0], [-1.0, 0.0, 2.0]])
-        assert abs(game_value(g, iterations=20_000) - 1.0) <= 0.05
+        assert game_value(g) == 1.0
 
     def test_rejects_general_sum(self):
         g = NormalFormGame([[1.0]], [[2.0]])
