@@ -6,9 +6,11 @@ settles the class for free. Inside the overlap the posterior is (1/2, 1/2),
 so any rule errs half the time there, and the whole game is about how much
 probability mass the overlap carries.
 
-This script evaluates the midpoint rule (deterministic) and the coin-flip
-rule (randomized) side by side: exact expected cost, then a seeded Monte
-Carlo estimate of each at one million cases.
+This script evaluates the midpoint rule (deterministic) and the randomized
+Bayes rule side by side: exact expected cost, then a seeded Monte Carlo
+estimate of each at one million cases. The randomized Bayes rule spreads its
+mass evenly over every minimum-cost label, which here is a fair coin on the
+overlap and a certain answer off it.
 """
 
 import numpy as np
@@ -19,8 +21,8 @@ from randrule import (
     constant_classifier,
     monte_carlo_cost,
     overlap_deterministic,
-    overlap_randomized,
     posterior,
+    randomized_bayes_classifier,
     uniform_overlap_mixture,
 )
 
@@ -54,7 +56,7 @@ def main():
         m = uniform_overlap_mixture(a, 1.0)
         exact = analytic_overlap_cost(a, 1.0)
         md = monte_carlo_cost(m, ZERO_ONE, overlap_deterministic(a, 1.0), N, SEED)
-        mr = monte_carlo_cost(m, ZERO_ONE, overlap_randomized(a, 1.0), N, SEED)
+        mr = monte_carlo_cost(m, ZERO_ONE, randomized_bayes_classifier(m, ZERO_ONE), N, SEED)
         print(
             f"  {a:4.1f} {exact:9.4f} {md.mean_cost:9.4f} {mr.mean_cost:10.4f}"
             f" {abs(md.mean_cost - mr.mean_cost):11.5f}"

@@ -2,9 +2,9 @@
 
 The library covers four connected pieces:
 
-* known class mixtures with Bayes-optimal and randomized classifiers,
-  including the overlapping-uniforms setting where a coin-flip rule matches
-  the best deterministic rule exactly;
+* known class mixtures with the Bayes rule and its randomized form, which
+  spreads its mass over every minimum-cost decision and so matches the best
+  deterministic rule exactly on any mixture and cost;
 * two-player matrix games with one exact solver for every zero-sum game
   of up to ten rows plus columns (matching pennies, rock-paper-scissors,
   the harm-allocation dilemma) and fictitious play as learning dynamics;
@@ -38,7 +38,7 @@ from .decisions import (
     monte_carlo_cost,
     nearest_mean_classifier,
     overlap_deterministic,
-    overlap_randomized,
+    randomized_bayes_classifier,
     two_class_likelihood_rule,
 )
 from .errors import InputError, UnsupportedEvidenceError

@@ -22,7 +22,7 @@ from .decisions import (
     constant_classifier,
     monte_carlo_cost,
     overlap_deterministic,
-    overlap_randomized,
+    randomized_bayes_classifier,
 )
 from .errors import InputError
 from .jsonio import read_json_source
@@ -94,12 +94,12 @@ def _cmd_classify_demo(args: argparse.Namespace) -> int:
     name = args.classifier
     if name == "bayes":
         clf = bayes_classifier(mixture, cost)
-    elif name in ("md", "mr"):
+    elif name == "mr":
+        clf = randomized_bayes_classifier(mixture, cost)
+    elif name == "md":
         if geometry is None:
-            raise InputError(
-                "md/mr need the two-uniform overlap mixture (supports [0,b] and [a,a+b], equal priors)"
-            )
-        clf = overlap_deterministic(*geometry) if name == "md" else overlap_randomized(*geometry)
+            raise InputError("md needs the two-uniform overlap mixture (supports [0,b] and [a,a+b], equal priors)")
+        clf = overlap_deterministic(*geometry)
     elif name.startswith("constant:"):
         clf = constant_classifier(int(name.split(":", 1)[1]), mixture.label_count)
     else:

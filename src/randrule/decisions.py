@@ -8,7 +8,8 @@ costs exactly and test output distributions directly.
 Cost bookkeeping uses a truth-first matrix: ``kappa[j, d]`` is the cost of
 deciding class ``d`` when the case really belongs to class ``j``. The Bayes
 rule picks the decision minimizing ``sum_j prior_j * kappa[j, d] * f_j(x)``,
-with ties broken toward the lowest label index.
+ties (within a relative ``TIE_RTOL``) broken toward the lowest label; the
+randomized Bayes rule spreads its mass evenly over the tied decisions instead.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import InputError
-from .mixtures import IsotropicGaussian, Mixture, _pdf_matrix, _sample_arrays_seq, _weighted_pdf_matrix, posterior
+from .mixtures import IsotropicGaussian, Mixture, _sample_arrays_seq, _weighted_densities, posterior
 from .rng import generator
 
 __all__ = [
@@ -33,16 +34,17 @@ __all__ = [
     "expected_cost_of_classifier",
     "bayes_decide",
     "bayes_classifier",
+    "randomized_bayes_classifier",
     "two_class_likelihood_rule",
     "nearest_mean_classifier",
     "constant_classifier",
     "overlap_deterministic",
-    "overlap_randomized",
     "analytic_overlap_cost",
     "monte_carlo_cost",
 ]
 
 DISTRIBUTION_TOL = 1e-9
+TIE_RTOL = 1e-12  # Bayes scores this close to the minimum count as ties
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,16 +171,16 @@ def expected_cost_of_classifier(mixture: Mixture, cost: CostMatrix, classifier: 
     return float(post @ cost.values @ dist)
 
 
-def _bayes_scores(mixture: Mixture, cost: CostMatrix, X: np.ndarray) -> np.ndarray:
-    """Unnormalized decision scores: scores[i, d] = sum_j pi_j kappa[j, d] f_j(x_i)."""
-    return _weighted_pdf_matrix(mixture, X) @ cost.values
+def _bayes_ties(mixture: Mixture, cost: CostMatrix, X: np.ndarray) -> np.ndarray:
+    """(k, n) mask of the decisions whose score ``sum_j pi_j kappa[j, d] f_j(x_i)`` ties the minimum."""
+    scores = cost.values.T @ _weighted_densities(mixture, X)
+    return scores <= scores.min(axis=0) * (1.0 + TIE_RTOL)
 
 
 def bayes_decide(mixture: Mixture, cost: CostMatrix, x) -> int:
     """Minimum expected cost decision at ``x``; ties go to the lowest label."""
     _check_cost(mixture, cost)
-    scores = _bayes_scores(mixture, cost, mixture._as_evidence(x))
-    return int(np.argmin(scores[0]))
+    return int(np.argmax(_bayes_ties(mixture, cost, mixture._as_evidence(x))[:, 0]))
 
 
 def bayes_classifier(mixture: Mixture, cost: CostMatrix) -> DeterministicClassifier:
@@ -186,9 +188,24 @@ def bayes_classifier(mixture: Mixture, cost: CostMatrix) -> DeterministicClassif
     _check_cost(mixture, cost)
 
     def rule(X: np.ndarray) -> np.ndarray:
-        return np.argmin(_bayes_scores(mixture, cost, X), axis=1)
+        return np.argmax(_bayes_ties(mixture, cost, X), axis=0)
 
     return DeterministicClassifier(mixture.label_count, rule, name="bayes")
+
+
+def randomized_bayes_classifier(mixture: Mixture, cost: CostMatrix) -> RandomizedClassifier:
+    """Spread the mass evenly over every minimum expected cost decision.
+
+    Every such decision costs the minimum, so this rule costs exactly as much as
+    :func:`bayes_decide` at every ``x``; on the two-uniform overlap it is a fair coin.
+    """
+    _check_cost(mixture, cost)
+
+    def rule(X: np.ndarray) -> np.ndarray:
+        ties = _bayes_ties(mixture, cost, X)
+        return (ties / ties.sum(axis=0)).T
+
+    return RandomizedClassifier(mixture.label_count, rule, name="randomized-bayes")
 
 
 def two_class_likelihood_rule(mixture: Mixture, cost: CostMatrix) -> DeterministicClassifier:
@@ -209,8 +226,8 @@ def two_class_likelihood_rule(mixture: Mixture, cost: CostMatrix) -> Determinist
         raise InputError("likelihood threshold undefined: pi_0 * kappa[0,1] must be positive")
 
     def rule(X: np.ndarray) -> np.ndarray:
-        f = _pdf_matrix(mixture, X)
-        return np.where(pi0 * k01 * f[:, 0] > pi1 * k10 * f[:, 1], 0, 1)
+        f0, f1 = (c.density.pdf(X) for c in mixture.components)
+        return np.where(pi0 * k01 * f0 > pi1 * k10 * f1, 0, 1)
 
     return DeterministicClassifier(2, rule, name="likelihood-ratio")
 
@@ -268,24 +285,6 @@ def overlap_deterministic(a: float, b: float) -> DeterministicClassifier:
         return (mid <= X[:, 0]).astype(np.int64)
 
     return DeterministicClassifier(2, rule, name="overlap-deterministic")
-
-
-def overlap_randomized(a: float, b: float) -> RandomizedClassifier:
-    """Coin-flip rule for supports [0, b] and [a, a+b].
-
-    First matching branch wins: class 1 where b < x, class 0 where x < a,
-    else a fair Bernoulli pick. For a > b the third branch is vacuous (the
-    zero-density gap b < x < a is caught by the first branch), so the rule
-    degenerates to the midpoint rule on all positive-density points.
-    """
-    _check_overlap_params(a, b)
-
-    def rule(X: np.ndarray) -> np.ndarray:
-        x = X[:, 0]
-        p1 = np.where(b < x, 1.0, np.where(x < a, 0.0, 0.5))
-        return np.stack([1.0 - p1, p1], axis=1)
-
-    return RandomizedClassifier(2, rule, name="overlap-randomized")
 
 
 def analytic_overlap_cost(a: float, b: float) -> float:

@@ -259,11 +259,13 @@ def is_nash(game: NormalFormGame, profile: MixedProfile, tol: float = NASH_TOL) 
     """True iff no player gains more than ``tol`` by any pure deviation.
 
     For a fully mixed strategy the supported pure payoffs must also be
-    indifferent within ``tol``.
+    indifferent within ``tol``. ``tol`` is relative to the payoff scale
+    ``max(1, max|A|, max|B|)``, so rescaling a game's payoffs keeps the verdict.
     """
     if not tol > 0:
         raise InputError("tolerance must be positive")
     _check_profile(game, profile)
+    tol *= max(1.0, float(np.abs(game.row_payoff).max()), float(np.abs(game.col_payoff).max()))
     row_purepay = game.row_payoff @ profile.col.probs
     col_purepay = profile.row.probs @ game.col_payoff
     if row_purepay.max() - profile.row.probs @ row_purepay > tol:

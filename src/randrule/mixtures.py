@@ -206,22 +206,17 @@ def density_at(mixture: Mixture, label: LabelId, x) -> float:
     return float(mixture.components[label].density.pdf(ev)[0])
 
 
-def _pdf_matrix(mixture: Mixture, X: np.ndarray) -> np.ndarray:
-    """Stack per-class densities for an (n, d) evidence batch into (n, k)."""
-    return np.stack([c.density.pdf(X) for c in mixture.components], axis=1)
+def _weighted_densities(mixture: Mixture, X: np.ndarray) -> np.ndarray:
+    """Prior-weighted densities ``pi_j f_j(x_i)`` as a (k, n) array.
 
-
-def _weighted_pdf_matrix(mixture: Mixture, X: np.ndarray) -> np.ndarray:
-    """Prior-weighted densities ``pi_j f_j(x_i)`` as an (n, k) array.
-
-    Raises :class:`UnsupportedEvidenceError` if any row has zero density
-    under every class.
+    Class-major, so reductions over classes run along the long axis. Raises
+    :class:`UnsupportedEvidenceError` if any row has zero density under every class.
     """
-    weighted = _pdf_matrix(mixture, X) * mixture.priors
-    total = weighted.sum(axis=1)
+    weighted = np.stack([c.prior * c.density.pdf(X) for c in mixture.components])
+    total = weighted.sum(axis=0)
     if np.any(total <= 0.0):
         bad = int(np.flatnonzero(total <= 0.0)[0])
-        raise UnsupportedEvidenceError(f"evidence {X[bad]} has zero density under every class")
+        raise UnsupportedEvidenceError(f"evidence row {bad} has zero density under every class")
     return weighted
 
 
@@ -234,8 +229,8 @@ def posterior_matrix(mixture: Mixture, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != mixture.dimension:
         raise InputError(f"expected an (n, {mixture.dimension}) evidence array")
-    weighted = _weighted_pdf_matrix(mixture, X)
-    return weighted / weighted.sum(axis=1)[:, None]
+    weighted = _weighted_densities(mixture, X)
+    return (weighted / weighted.sum(axis=0)).T
 
 
 def posterior(mixture: Mixture, x) -> np.ndarray:

@@ -36,7 +36,7 @@ from randrule import (
     monte_carlo_cost,
     nearest_mean_classifier,
     overlap_deterministic,
-    overlap_randomized,
+    randomized_bayes_classifier,
     render_diverging_chart,
     run_repeated,
     run_report,
@@ -63,7 +63,7 @@ def test_criterion_1_overlap_rules_match_the_analytic_cost():
     start = time.monotonic()
     mixture = uniform_overlap_mixture(0.5, 1.0)
     md = monte_carlo_cost(mixture, ZERO_ONE, overlap_deterministic(0.5, 1.0), N_BIG, seed=42)
-    mr = monte_carlo_cost(mixture, ZERO_ONE, overlap_randomized(0.5, 1.0), N_BIG, seed=42)
+    mr = monte_carlo_cost(mixture, ZERO_ONE, randomized_bayes_classifier(mixture, ZERO_ONE), N_BIG, seed=42)
     tol = _three_sigma(0.25, N_BIG)
     assert tol <= 0.0013
     assert abs(md.mean_cost - 0.25) <= 0.0013
@@ -76,7 +76,7 @@ def test_criterion_1_overlap_rules_match_the_analytic_cost():
         band = _three_sigma(exact, N_BIG)
         m = uniform_overlap_mixture(a, 1.0)
         est_d = monte_carlo_cost(m, ZERO_ONE, overlap_deterministic(a, 1.0), N_BIG, seed=42)
-        est_r = monte_carlo_cost(m, ZERO_ONE, overlap_randomized(a, 1.0), N_BIG, seed=42)
+        est_r = monte_carlo_cost(m, ZERO_ONE, randomized_bayes_classifier(m, ZERO_ONE), N_BIG, seed=42)
         assert abs(est_d.mean_cost - exact) <= band, f"deterministic rule off at a={a}"
         assert abs(est_r.mean_cost - exact) <= band, f"randomized rule off at a={a}"
         assert abs(est_d.mean_cost - est_r.mean_cost) <= 3.0 * math.sqrt(2.0) * math.sqrt(
@@ -228,7 +228,7 @@ def test_criterion_10_every_seeded_operation_is_bit_reproducible(tmp_path):
     assert X_a.tobytes() == X_b.tobytes()
     assert labels_a.tobytes() == labels_b.tobytes()
 
-    mr = overlap_randomized(0.5, 1.0)
+    mr = randomized_bayes_classifier(mixture, ZERO_ONE)
     assert monte_carlo_cost(mixture, ZERO_ONE, mr, 50_000, seed=13) == monte_carlo_cost(
         mixture, ZERO_ONE, mr, 50_000, seed=13
     )

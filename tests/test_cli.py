@@ -71,7 +71,33 @@ class TestClassifyDemo:
             "--format", "csv",
         )
         assert code == 0
-        assert csv_out(out)[1][0] == "overlap-randomized"
+        assert csv_out(out)[1][0] == "randomized-bayes"
+        assert csv_out(out)[1][5] == "0.25"
+
+    def test_randomized_rule_equals_bayes_on_gaussians(self, capsys):
+        # ties have probability zero under Gaussians, so mr is Bayes almost surely
+        gaussians = {
+            "components": [
+                {"prior": 0.5, "density": {"kind": "gaussian", "mean": [0.0, 0.0], "lambda": 1.0}},
+                {"prior": 0.3, "density": {"kind": "gaussian", "mean": [1.0, 0.5], "lambda": 1.0}},
+                {"prior": 0.2, "density": {"kind": "gaussian", "mean": [-0.5, 1.0], "lambda": 1.0}},
+            ]
+        }
+        for cost in ("zero-one", "[[0, 1, 4], [2, 0, 1], [1, 3, 0]]"):
+            printed = {}
+            for name in ("bayes", "mr"):
+                code, out, _ = run(
+                    capsys,
+                    "classify-demo",
+                    "--mixture", json.dumps(gaussians),
+                    "--cost", cost,
+                    "--classifier", name,
+                    "--n", "20000",
+                    "--format", "csv",
+                )
+                assert code == 0
+                printed[name] = csv_out(out)[1][3:5]
+            assert printed["mr"] == printed["bayes"]
 
     def test_constant_classifier_has_analytic_value(self, capsys, mixture_file):
         code, out, _ = run(
@@ -99,7 +125,7 @@ class TestClassifyDemo:
             "--classifier", "md",
         )
         assert code == 2
-        assert "overlap" in err
+        assert "md needs the two-uniform overlap mixture" in err
 
     def test_unknown_classifier_is_an_input_error(self, capsys, mixture_file):
         code, _, err = run(
@@ -116,6 +142,14 @@ class TestSolveGame:
         rows = {r[0]: r[1] for r in csv_out(out)[1:]}
         assert rows["row"] == "0.75 0.25"
         assert rows["value"] == "-1.5"
+        assert rows["is_nash(tol=1e-09)"] == "true"
+
+    @pytest.mark.parametrize("scale", ["1e6", "1e9", "1e15"])
+    def test_large_payoff_harm_scenarios_solve(self, capsys, scale):
+        code, out, _ = run(capsys, "solve-game", "--harm", f"{scale},3,{scale},7", "--format", "csv")
+        assert code == 0
+        rows = {r[0]: r[1] for r in csv_out(out)[1:]}
+        assert rows["row"] == "0.7 0.3"
         assert rows["is_nash(tol=1e-09)"] == "true"
 
     def test_matching_pennies_shortcut(self, capsys):

@@ -6,6 +6,7 @@ import pytest
 from randrule import (
     CostMatrix,
     InputError,
+    RandomizedClassifier,
     UnsupportedEvidenceError,
     analytic_overlap_cost,
     bayes_classifier,
@@ -17,7 +18,8 @@ from randrule import (
     monte_carlo_cost,
     nearest_mean_classifier,
     overlap_deterministic,
-    overlap_randomized,
+    randomized_bayes_classifier,
+    sample_case_arrays,
     two_class_likelihood_rule,
     uniform_overlap_mixture,
 )
@@ -75,6 +77,8 @@ class TestBayesDecide:
     def test_exact_tie_goes_to_lowest_label(self):
         m = gaussian_mixture([0.0, 1.0], lam=1.0)
         assert bayes_decide(m, ZERO_ONE, 0.5) == 0
+        # the second density is 1/((a+b)-a) = 1/0.9999999999999999: a tie only up to rounding
+        assert bayes_decide(overlap(0.9, 1.0), ZERO_ONE, 0.95) == 0
 
     def test_asymmetric_cost_shifts_the_boundary(self):
         # kappa[1,0] = 2 (deciding 0 on a true 1 is the expensive mistake):
@@ -235,32 +239,87 @@ class TestOverlapRules:
         assert md.decide(1.4) == 1
 
     def test_coin_flip_rule_distributions(self):
-        mr = overlap_randomized(0.5, 1.0)
+        mr = randomized_bayes_classifier(overlap(), ZERO_ONE)
         assert np.array_equal(mr.distribution(0.75), [0.5, 0.5])
         assert np.array_equal(mr.distribution(0.1), [1.0, 0.0])
         assert np.array_equal(mr.distribution(1.2), [0.0, 1.0])
 
     def test_disjoint_supports_make_the_coin_branch_vacuous(self):
-        # a > b: the gap b < x < a hits the first branch, so the rule is
-        # deterministic and coincides with the midpoint rule on the supports
-        mr = overlap_randomized(2.0, 1.0)
+        # a > b: no point of either support is a tie, so the rule is
+        # deterministic and coincides with the midpoint rule on the supports;
+        # the gap b < x < a has no density, as for the Bayes rule
+        mr = randomized_bayes_classifier(overlap(2.0, 1.0), ZERO_ONE)
         md = overlap_deterministic(2.0, 1.0)
-        assert np.array_equal(mr.distribution(1.5), [0.0, 1.0])
         for x in (0.0, 0.5, 1.0, 2.0, 2.5, 3.0):
             dist = mr.distribution(x)
             assert dist[md.decide(x)] == 1.0
+        with pytest.raises(UnsupportedEvidenceError):
+            mr.distribution(1.5)
 
     def test_repeated_decide_with_same_seed_is_identical(self):
-        mr = overlap_randomized(0.5, 1.0)
+        mr = randomized_bayes_classifier(overlap(), ZERO_ONE)
         picks = [mr.decide(0.75, seed=123) for _ in range(5)]
         assert len(set(picks)) == 1
 
     def test_distribution_is_valid_everywhere(self):
-        mr = overlap_randomized(0.4, 1.3)
-        X = np.linspace(-0.5, 2.5, 301).reshape(-1, 1)
+        # everywhere the evidence has density; outside both supports it raises
+        mr = randomized_bayes_classifier(overlap(0.4, 1.3), ZERO_ONE)
+        X = np.linspace(0.0, 1.7, 301).reshape(-1, 1)
         dist = mr.distributions(X)
         assert np.all(dist >= 0.0)
         assert np.allclose(dist.sum(axis=1), 1.0, atol=1e-12)
+        for x in (-0.5, 2.5):
+            with pytest.raises(UnsupportedEvidenceError):
+                mr.distribution(x)
+
+
+def coin_flip_rule(a, b):
+    """The three-branch overlap rule the randomized Bayes rule replaced, kept as the oracle.
+
+    First matching branch wins: class 1 where b < x, class 0 where x < a,
+    else a fair coin.
+    """
+
+    def rule(X):
+        x = X[:, 0]
+        p1 = np.where(b < x, 1.0, np.where(x < a, 0.0, 0.5))
+        return np.stack([1.0 - p1, p1], axis=1)
+
+    return RandomizedClassifier(2, rule, name="coin-flip")
+
+
+class TestRandomizedBayes:
+    @pytest.mark.parametrize("a", [0.0, 0.3, 0.5, 0.9, 1.0, 2.0])
+    @pytest.mark.parametrize("b", [1.0, 1.3])
+    @pytest.mark.parametrize("seed", [5, 42])
+    def test_reproduces_the_coin_flip_rule_bit_for_bit(self, a, b, seed):
+        m = overlap(a, b)
+        got = monte_carlo_cost(m, ZERO_ONE, randomized_bayes_classifier(m, ZERO_ONE), 10**5, seed)
+        want = monte_carlo_cost(m, ZERO_ONE, coin_flip_rule(a, b), 10**5, seed)
+        assert (got.mean_cost.hex(), got.standard_error.hex()) == (want.mean_cost.hex(), want.standard_error.hex())
+
+    def test_equals_bayes_where_the_minimum_is_unique(self):
+        m = gaussian_mixture([[0.0, 0.0], [2.0, 0.5], [1.0, 2.0]], lam=0.6, priors=[0.2, 0.3, 0.5])
+        cost = CostMatrix([[0.0, 1.0, 3.0], [2.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+        X, _ = sample_case_arrays(m, 5_000, 8)
+        dist = randomized_bayes_classifier(m, cost).distributions(X)
+        assert np.array_equal(dist, bayes_classifier(m, cost).distributions(X))
+
+    def test_spreads_evenly_over_a_three_way_tie(self):
+        m = gaussian_mixture([0.0, 0.0, 5.0], lam=1.0)
+        mr = randomized_bayes_classifier(m, CostMatrix.zero_one(3))
+        assert np.array_equal(mr.distribution(0.0), [0.5, 0.5, 0.0])
+        cost = CostMatrix(np.ones((3, 3)))  # every decision costs the same
+        assert np.array_equal(randomized_bayes_classifier(m, cost).distribution(0.0), [1 / 3, 1 / 3, 1 / 3])
+
+    def test_follows_the_cost_matrix(self):
+        # posterior (1/2, 1/2) on the overlap; deciding 1 costs 2, so 0 is the only minimum
+        cost = CostMatrix([[0.0, 2.0], [1.0, 0.0]])
+        assert np.array_equal(randomized_bayes_classifier(overlap(), cost).distribution(0.75), [1.0, 0.0])
+
+    def test_cost_shape_mismatch_rejected(self):
+        with pytest.raises(InputError):
+            randomized_bayes_classifier(overlap(), CostMatrix.zero_one(3))
 
 
 class TestAnalyticOverlapCost:
@@ -288,7 +347,7 @@ class TestAnalyticOverlapCost:
 class TestMonteCarlo:
     def test_bit_identical_for_fixed_seed(self):
         m = overlap()
-        mr = overlap_randomized(0.5, 1.0)
+        mr = randomized_bayes_classifier(m, ZERO_ONE)
         one = monte_carlo_cost(m, ZERO_ONE, mr, 10_000, seed=3)
         two = monte_carlo_cost(m, ZERO_ONE, mr, 10_000, seed=3)
         assert one == two
@@ -314,7 +373,7 @@ class TestMonteCarlo:
             constant_classifier(0, 2),
             anti,
             flipped,
-            overlap_randomized(0.4, 1.0),
+            randomized_bayes_classifier(m, ZERO_ONE),
             two_class_likelihood_rule(m, ZERO_ONE),
         ]
         for rule in rules:
@@ -342,10 +401,10 @@ class TestMonteCarlo:
 class TestExactClassifierCost:
     def test_randomized_rule_costs_half_on_the_overlap(self):
         m = overlap()
-        mr = overlap_randomized(0.5, 1.0)
+        mr = randomized_bayes_classifier(m, ZERO_ONE)
         assert expected_cost_of_classifier(m, ZERO_ONE, mr, 0.75) == pytest.approx(0.5, abs=1e-12)
 
     def test_certain_region_costs_nothing(self):
         m = overlap()
-        mr = overlap_randomized(0.5, 1.0)
+        mr = randomized_bayes_classifier(m, ZERO_ONE)
         assert expected_cost_of_classifier(m, ZERO_ONE, mr, 0.2) == 0.0

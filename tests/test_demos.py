@@ -4,6 +4,19 @@ from pathlib import Path
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 
+def test_overlap_demo_runs_both_rules(capsys):
+    main = runpy.run_path(str(DEMOS / "01_overlap_classifiers.py"))["main"]
+    main.__globals__["N"] = 20_000  # the demo's one million cases take seconds
+    main()
+    out = capsys.readouterr().out
+    assert "20,000 cases per estimate, seed 42" in out
+    rows = [line.split() for line in out.splitlines() if line.startswith("   0.")]
+    assert [r[0] for r in rows] == [f"0.{i}" for i in range(1, 10)]
+    for a, exact, midpoint, coin, _ in (map(float, r) for r in rows):
+        assert exact == round((1.0 - a) / 2.0, 4)
+        assert abs(midpoint - exact) < 0.02 and abs(coin - exact) < 0.02
+
+
 def test_harm_dilemma_demo_prints_the_exact_mix(capsys):
     runpy.run_path(str(DEMOS / "02_harm_dilemma.py"))["main"]()
     out = capsys.readouterr().out

@@ -10,9 +10,16 @@ import hashlib
 import numpy as np
 
 from randrule import (
+    CostMatrix,
     SurveyDataset,
     SurveyRecord,
+    bayes_classifier,
+    gaussian_mixture,
     mann_whitney_u,
+    monte_carlo_cost,
+    nearest_mean_classifier,
+    overlap_deterministic,
+    randomized_bayes_classifier,
     run_report,
     sample_case_arrays,
     uniform_overlap_mixture,
@@ -38,6 +45,17 @@ GOLDEN_MWU = [
 ]
 
 GOLDEN_CASES = "829a077f07b2d9e3046bb9145e3b06a4cb2df994a0e8e426d60a4f2f23b568f3"
+
+# float.hex of monte_carlo_cost (mean, standard error), n=1e5, seed 42; the
+# coin-flip pin was taken from the three-branch overlap rule that the
+# randomized Bayes rule replaced, and holds for both
+GOLDEN_MC = {
+    "midpoint": ("0x1.fe32a0663c750p-3", "0x1.6688fb44a3baep-10"),
+    "coin-flip": ("0x1.0060fe47991bcp-2", "0x1.6722586056d95p-10"),
+    "bayes": ("0x1.b1f0c34c1a8acp-2", "0x1.2e55aae99b097p-9"),
+    "nearest-mean": ("0x1.273d5bab21816p-2", "0x1.7782a34abac73p-10"),
+}
+GAUSS_MEANS = [[0.0, 0.0], [1.5, 0.5], [-0.5, 1.2]]
 
 
 def golden_survey() -> SurveyDataset:
@@ -75,3 +93,23 @@ def test_sampled_case_bytes_match_their_digest():
     X, labels = sample_case_arrays(uniform_overlap_mixture(0.5, 1.0), 1000, 11)
     data = X.astype("<f8").tobytes() + labels.astype("<i8").tobytes()
     assert _sha256(data) == GOLDEN_CASES
+
+
+def _mc_hex(mixture, cost, classifier):
+    est = monte_carlo_cost(mixture, cost, classifier, 100_000, 42)
+    return est.mean_cost.hex(), est.standard_error.hex()
+
+
+def test_monte_carlo_costs_match_their_float_bits():
+    overlap = uniform_overlap_mixture(0.5, 1.0)
+    zero_one = CostMatrix.zero_one(2)
+    weighted = gaussian_mixture(GAUSS_MEANS, 0.8, priors=[0.5, 0.3, 0.2])
+    cost = CostMatrix([[0.0, 1.0, 4.0], [2.0, 0.0, 1.0], [1.0, 3.0, 0.0]])
+    even = gaussian_mixture(GAUSS_MEANS, 0.8)
+    got = {
+        "midpoint": _mc_hex(overlap, zero_one, overlap_deterministic(0.5, 1.0)),
+        "coin-flip": _mc_hex(overlap, zero_one, randomized_bayes_classifier(overlap, zero_one)),
+        "bayes": _mc_hex(weighted, cost, bayes_classifier(weighted, cost)),
+        "nearest-mean": _mc_hex(even, CostMatrix.zero_one(3), nearest_mean_classifier(even)),
+    }
+    assert got == GOLDEN_MC

@@ -16,6 +16,7 @@ from randrule import (
     load_mixture,
     mixture_from_dict,
     posterior,
+    posterior_matrix,
     sample_case_arrays,
     uniform_overlap_mixture,
 )
@@ -107,6 +108,17 @@ class TestPosterior:
     def test_unsupported_evidence_raises(self):
         with pytest.raises(UnsupportedEvidenceError):
             posterior(two_uniform(), 5.0)
+
+    def test_unsupported_evidence_names_its_row_not_its_coordinates(self):
+        # in 800-D every Gaussian density underflows to zero; the message
+        # stays short instead of printing all 800 coordinates
+        m = gaussian_mixture(np.zeros((2, 800)), lam=1.0)
+        X = np.ones((3, 800))
+        with pytest.raises(UnsupportedEvidenceError) as info:
+            posterior_matrix(m, X)
+        assert str(info.value) == "evidence row 0 has zero density under every class"
+        with pytest.raises(UnsupportedEvidenceError, match="evidence row 1 "):
+            posterior_matrix(two_uniform(), np.array([[0.25], [5.0], [7.0]]))
 
     def test_sums_to_one_across_support(self):
         m = two_uniform(0.3, 1.2)

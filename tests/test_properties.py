@@ -9,14 +9,24 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from randrule import (
+    ClassComponent,
+    CostMatrix,
     HarmScenario,
+    IsotropicGaussian,
+    Mixture,
     SurveyDataset,
     SurveyRecord,
+    UniformInterval,
+    bayes_classifier,
     brute_force_u,
     build_harm_game,
+    constant_classifier,
+    expected_cost_of_classifier,
+    expected_cost_of_decision,
     find_pure_nash,
     is_nash,
     mann_whitney_u,
+    randomized_bayes_classifier,
     solve_zero_sum,
     zero_sum_game,
 )
@@ -134,13 +144,14 @@ def indifference_solution(a):
 
 
 @PROPERTY
-@given(payoff_matrices())
-def test_exact_solution_is_nash_with_the_linprog_value(a):
+@given(payoff_matrices(), st.integers(0, 15))
+def test_exact_solution_is_nash_with_the_linprog_value(a, k):
+    # the equilibrium check is relative to the payoff scale, so 10^k-scaled games solve too
     pytest.importorskip("scipy.optimize")
-    game = zero_sum_game(a)
+    game = zero_sum_game(a * 10.0**k)
     sol = solve_zero_sum(game)
     assert is_nash(game, sol.profile, 1e-9)
-    assert abs(sol.value - linprog_value(a)) <= 1e-9
+    assert abs(sol.value / 10.0**k - linprog_value(a)) <= 1e-9
 
 
 @PROPERTY
@@ -162,3 +173,44 @@ worths = st.floats(0.1, 10.0)
 def test_harm_row_mix_is_exactly_the_closed_form(m_x, v_x, m_y, v_y):
     sol = solve_zero_sum(build_harm_game(HarmScenario(m_x, v_x, m_y, v_y)))
     assert sol.profile.row.probs[0] == (m_y * v_y) / (m_x * v_x + m_y * v_y)
+
+
+@st.composite
+def mixtures_with_evidence(draw):
+    """Interval mixtures on a one-decimal grid (many exact and rounding ties) or Gaussians in 1-3 D,
+    with a random non-negative cost matrix and evidence points that have density."""
+    k = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    priors = rng.dirichlet(np.ones(k)) if draw(st.booleans()) else np.full(k, 1.0 / k)
+    if draw(st.booleans()):
+        lo = rng.integers(0, 10, size=k) / 10
+        width = rng.integers(1, 10, size=k) / 10
+        densities = [UniformInterval(float(l), float(l + w)) for l, w in zip(lo, width)]
+        X = np.r_[lo, lo + width, lo + rng.random(k) * width].reshape(-1, 1)
+    else:
+        d = draw(st.integers(1, 3))
+        means = rng.integers(-10, 11, size=(k, d)) / 5
+        lam = float(rng.uniform(0.2, 2.0))
+        densities = [IsotropicGaussian(m, lam) for m in means]
+        X = np.r_[means, (means[:, None, :] + rng.normal(0.0, math.sqrt(lam), size=(k, 4, d))).reshape(-1, d)]
+        X = np.r_[X, (means[:1] + means[1:2]) / 2]  # the midpoint of two means, a tie under 0-1 cost
+    cost = rng.integers(0, 4, size=(k, k)) if draw(st.booleans()) else 1.0 - np.eye(k)
+    mixture = Mixture([ClassComponent(float(p), dens) for p, dens in zip(priors / priors.sum(), densities)])
+    return mixture, CostMatrix(cost), X
+
+
+@PROPERTY
+@given(mixtures_with_evidence())
+def test_randomized_bayes_costs_exactly_the_minimum(case):
+    """The paper's claim: the randomized rule is as good as the best deterministic decision at every x."""
+    mixture, cost, X = case
+    rules = [randomized_bayes_classifier(mixture, cost), bayes_classifier(mixture, cost)]
+    constants = [constant_classifier(d, mixture.label_count) for d in range(mixture.label_count)]
+    for x in X:
+        best = min(expected_cost_of_decision(mixture, cost, x, d) for d in range(mixture.label_count))
+        for rule in rules:
+            assert abs(expected_cost_of_classifier(mixture, cost, rule, x) - best) <= 1e-12
+        for rule in constants:
+            assert expected_cost_of_classifier(mixture, cost, rules[0], x) <= (
+                expected_cost_of_classifier(mixture, cost, rule, x) + 1e-12
+            )
