@@ -9,7 +9,8 @@ The library covers four connected pieces:
   of up to ten rows plus columns (matching pennies, rock-paper-scissors,
   the harm-allocation dilemma) and fictitious play as learning dynamics;
 * repeated play showing how pure strategies get exploited by a frequency
-  learner while equilibrium mixes do not;
+  learner while equilibrium mixes do not; the learner runs the same
+  best-response loop as fictitious play;
 * ordinal survey statistics: Mann-Whitney U with tie handling, descriptive
   summaries, and diverging stacked bar charts.
 
@@ -94,7 +95,6 @@ from .repeated import (
     MatchTrace,
     MixedPolicy,
     PurePolicy,
-    RoundRecord,
     exploitability_report,
     run_repeated,
 )

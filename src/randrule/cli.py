@@ -62,6 +62,13 @@ def _num(v: float) -> str:
     return f"{v:.6g}"
 
 
+def _parse_number(text: str, kind: type, what: str):
+    try:
+        return kind(text)
+    except ValueError:
+        raise InputError(f"{what}: {text!r} is not {'an integer' if kind is int else 'a number'}") from None
+
+
 def _load_cost(source: str, label_count: int) -> CostMatrix:
     if source == "zero-one":
         return CostMatrix.zero_one(label_count)
@@ -101,7 +108,8 @@ def _cmd_classify_demo(args: argparse.Namespace) -> int:
             raise InputError("md needs the two-uniform overlap mixture (supports [0,b] and [a,a+b], equal priors)")
         clf = overlap_deterministic(*geometry)
     elif name.startswith("constant:"):
-        clf = constant_classifier(int(name.split(":", 1)[1]), mixture.label_count)
+        label = _parse_number(name.split(":", 1)[1], int, f"classifier {name!r}")
+        clf = constant_classifier(label, mixture.label_count)
     else:
         raise InputError(f"unknown classifier {name!r} (expected bayes|md|mr|constant:LABEL)")
 
@@ -159,9 +167,9 @@ def _parse_policy(text: str):
     if text == "exploiter":
         return FrequencyExploiter()
     if text.startswith("pure:"):
-        return PurePolicy(int(text.split(":", 1)[1]))
+        return PurePolicy(_parse_number(text.split(":", 1)[1], int, f"policy {text!r}"))
     if text.startswith("mixed:"):
-        probs = [float(t) for t in text.split(":", 1)[1].split(",")]
+        probs = [_parse_number(t, float, f"policy {text!r}") for t in text.split(":", 1)[1].split(",")]
         return MixedPolicy(MixedStrategy(np.asarray(probs)))
     raise InputError(f"unknown policy {text!r} (expected pure:i|mixed:p1,p2,...|exploiter)")
 

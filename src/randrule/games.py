@@ -5,6 +5,8 @@ rock-paper-scissors, and the harm-allocation game in which a decision-maker
 must hurt one of two parties without knowing who is at fault. Every zero-sum
 game within ``MAX_EXACT_ACTIONS`` is solved exactly by one mechanism, the
 Shapley-Snow kernels; fictitious play shows how the equilibrium is learned.
+Fictitious play and the frequency exploiter of :mod:`randrule.repeated` run
+one best-response loop with one tie rule.
 """
 
 from __future__ import annotations
@@ -97,8 +99,8 @@ class MixedStrategy:
         p = np.asarray(self.probs, dtype=float)
         if p.ndim != 1 or p.size == 0:
             raise InputError("a mixed strategy is a non-empty probability vector")
-        if np.any(p < 0) or abs(p.sum() - 1.0) > STRATEGY_SUM_TOL:
-            raise InputError(f"strategy entries must be >= 0 and sum to 1, got {p}")
+        if not np.all(np.isfinite(p)) or np.any(p < 0) or abs(p.sum() - 1.0) > STRATEGY_SUM_TOL:
+            raise InputError(f"strategy entries must be finite, >= 0 and sum to 1, got {p}")
         p = p.copy()
         p.flags.writeable = False
         object.__setattr__(self, "probs", p)
@@ -281,10 +283,32 @@ def is_nash(game: NormalFormGame, profile: MixedProfile, tol: float = NASH_TOL) 
 
 def _pick(scores: np.ndarray, u: float) -> int:
     """Index of the maximal score; exact ties resolved by the uniform ``u``."""
-    ties = np.flatnonzero(scores == scores.max())
-    if ties.size == 1:
-        return int(ties[0])
-    return int(ties[int(u * ties.size)])
+    scores = scores.tolist()
+    best = max(scores)
+    ties = [k for k, s in enumerate(scores) if s == best]
+    return ties[int(u * len(ties))]
+
+
+def _best_responses(A, B, row_counts, col_counts, row_actions, col_actions, u_row, u_col) -> None:
+    """Fill in, round by round, the actions of each side that best-responds to counts.
+
+    ``row_counts`` holds the row side's counts of column actions, ``col_counts``
+    the column side's counts of row actions. Each round a counting side plays
+    ``_pick(A @ row_counts, u_row[t])`` or ``_pick(B.T @ col_counts, u_col[t])``;
+    then both sides' counts take in the opponent's action. A side passed ``None``
+    keeps the actions already in its array.
+    """
+    # a contiguous copy: the product over the transposed view rounds differently on non-integer payoffs
+    BT = np.ascontiguousarray(B.T)
+    for t in range(row_actions.size):
+        if row_counts is not None:
+            row_actions[t] = _pick(A @ row_counts, u_row[t])
+        if col_counts is not None:
+            col_actions[t] = _pick(BT @ col_counts, u_col[t])
+        if row_counts is not None:
+            row_counts[col_actions[t]] += 1
+        if col_counts is not None:
+            col_counts[row_actions[t]] += 1
 
 
 def fictitious_play(game: NormalFormGame, iterations: int, tie_seed: int = 0) -> FictitiousPlayResult:
@@ -292,36 +316,26 @@ def fictitious_play(game: NormalFormGame, iterations: int, tie_seed: int = 0) ->
 
     Beliefs start with one virtual observation per opponent action, so the
     first best response is defined; exact score ties are broken by a stream
-    of uniforms from ``tie_seed``. For zero-sum games the average payoff
-    converges to the game value and the empirical frequencies approach an
-    equilibrium profile.
+    of uniforms from ``tie_seed``, alternating row and column. The loop is the
+    one a repeated match runs when a frequency exploiter plays. For zero-sum
+    games the average payoff converges to the game value and the empirical
+    frequencies approach an equilibrium profile.
     """
     if not game.zero_sum:
         raise InputError("fictitious play is only supported for zero-sum games")
     if iterations < 1:
         raise InputError(f"iterations must be >= 1, got {iterations}")
     A = game.row_payoff
-    B = game.col_payoff
     ties = generator(tie_seed).random(2 * iterations)
-    # cumulative payoff of each pure action against the opponent's counts
-    row_scores = A.sum(axis=1)
-    col_scores = B.sum(axis=0)
-    row_counts = np.zeros(game.row_actions, dtype=np.int64)
-    col_counts = np.zeros(game.col_actions, dtype=np.int64)
-    total_payoff = 0.0
-    for t in range(iterations):
-        i = _pick(row_scores, ties[2 * t])
-        j = _pick(col_scores, ties[2 * t + 1])
-        row_counts[i] += 1
-        col_counts[j] += 1
-        total_payoff += A[i, j]
-        row_scores += A[:, j]
-        col_scores += B[i, :]
+    rows = np.empty(iterations, dtype=np.int64)
+    cols = np.empty(iterations, dtype=np.int64)
+    _best_responses(A, game.col_payoff, np.ones(game.col_actions), np.ones(game.row_actions), rows, cols,
+                    ties[0::2], ties[1::2])
     profile = MixedProfile(
-        MixedStrategy(row_counts / iterations),
-        MixedStrategy(col_counts / iterations),
+        MixedStrategy(np.bincount(rows, minlength=game.row_actions) / iterations),
+        MixedStrategy(np.bincount(cols, minlength=game.col_actions) / iterations),
     )
-    return FictitiousPlayResult(profile, total_payoff / iterations, iterations)
+    return FictitiousPlayResult(profile, float(np.sum(A[rows, cols]) / iterations), iterations)
 
 
 def game_value(game: NormalFormGame) -> float:

@@ -4,20 +4,21 @@ The point demonstrated here: a pure strategy in a game without pure
 equilibria is eventually read and punished by an opponent that merely
 counts action frequencies, while an equilibrium mix concedes nothing
 beyond sampling noise. The adversary observes actions only, never the
-opposing policy object.
+opposing policy object. History-free policies (pure and mixed) draw all
+their actions at once; frequency exploiters run the best-response loop
+that fictitious play also runs.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple, Union
+from typing import Union
 
 import numpy as np
 
 from .errors import InputError
-from .games import MixedStrategy, NormalFormGame, game_value
+from .games import MixedStrategy, NormalFormGame, _best_responses, game_value
 from .rng import generator
 
 __all__ = [
@@ -25,7 +26,6 @@ __all__ = [
     "MixedPolicy",
     "FrequencyExploiter",
     "AgentPolicy",
-    "RoundRecord",
     "MatchTrace",
     "MatchSummary",
     "ExploitabilityReport",
@@ -64,14 +64,6 @@ class FrequencyExploiter:
 AgentPolicy = Union[PurePolicy, MixedPolicy, FrequencyExploiter]
 
 
-class RoundRecord(NamedTuple):
-    round: int
-    row_action: int
-    col_action: int
-    row_payoff: float
-    col_payoff: float
-
-
 @dataclass(frozen=True, eq=False)
 class MatchTrace:
     """Per-round actions and payoffs of one repeated match."""
@@ -86,27 +78,13 @@ class MatchTrace:
     def rounds(self) -> int:
         return int(self.row_actions.size)
 
-    def records(self) -> list[RoundRecord]:
-        # adding 0.0 folds the negative zeros produced by payoff negation
-        return [
-            RoundRecord(
-                t,
-                int(self.row_actions[t]),
-                int(self.col_actions[t]),
-                float(self.row_payoffs[t]) + 0.0,
-                float(self.col_payoffs[t]) + 0.0,
-            )
-            for t in range(self.rounds)
-        ]
-
     def write_csv(self, path: str | Path) -> None:
+        # adding 0.0 folds the negative zeros produced by payoff negation
+        columns = (self.row_actions.tolist(), self.col_actions.tolist(),
+                   (self.row_payoffs + 0.0).tolist(), (self.col_payoffs + 0.0).tolist())
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["round", "row_action", "col_action", "row_payoff", "col_payoff"])
-            for rec in self.records():
-                writer.writerow(
-                    [rec.round, rec.row_action, rec.col_action, repr(rec.row_payoff), repr(rec.col_payoff)]
-                )
+            fh.write("round,row_action,col_action,row_payoff,col_payoff\r\n")
+            fh.writelines(f"{t},{i},{j},{p!r},{q!r}\r\n" for t, (i, j, p, q) in enumerate(zip(*columns)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,46 +108,28 @@ class ExploitabilityReport:
     seed: int
 
 
-class _Agent:
-    """Resolved per-match state of one policy; consumes one uniform per round."""
-
-    def __init__(self, policy: AgentPolicy, n_actions: int, n_opponent: int, side: str):
-        self.policy = policy
-        if isinstance(policy, PurePolicy):
-            if not 0 <= policy.action < n_actions:
-                raise InputError(
-                    f"{side} pure action {policy.action} out of range for {n_actions} actions"
-                )
-        elif isinstance(policy, MixedPolicy):
-            if policy.strategy.n_actions != n_actions:
-                raise InputError(
-                    f"{side} mixed strategy has {policy.strategy.n_actions} entries, "
-                    f"game offers {n_actions} actions"
-                )
-            self.cum = np.cumsum(policy.strategy.probs)
-        elif isinstance(policy, FrequencyExploiter):
-            counts = policy.virtual_counts
-            counts = np.ones(n_opponent) if counts is None else np.asarray(counts, dtype=float)
-            if counts.shape != (n_opponent,) or np.any(counts < 0) or counts.sum() <= 0:
-                raise InputError(
-                    f"{side} exploiter needs {n_opponent} non-negative virtual counts, not all zero"
-                )
-            self.opponent_counts = counts.copy()
-        else:
-            raise InputError(f"unknown policy type {type(policy).__name__}")
-
-    def act(self, payoff_vs_opponent: np.ndarray, u: float) -> int:
-        if isinstance(self.policy, PurePolicy):
-            return self.policy.action
-        if isinstance(self.policy, MixedPolicy):
-            return int(min(np.searchsorted(self.cum, u, side="right"), self.cum.size - 1))
-        scores = payoff_vs_opponent @ self.opponent_counts
-        ties = np.flatnonzero(scores == scores.max())
-        return int(ties[int(u * ties.size)]) if ties.size > 1 else int(ties[0])
-
-    def observe(self, opponent_action: int) -> None:
-        if isinstance(self.policy, FrequencyExploiter):
-            self.opponent_counts[opponent_action] += 1
+def _plan(policy: AgentPolicy, n_actions: int, n_opponent: int, side: str, u: np.ndarray):
+    """(actions, counts) of one side: all actions of a history-free policy, or an
+    exploiter's validated counts of opponent actions and an array the loop fills."""
+    if isinstance(policy, PurePolicy):
+        if not 0 <= policy.action < n_actions:
+            raise InputError(f"{side} pure action {policy.action} out of range for {n_actions} actions")
+        return np.full(u.size, policy.action, dtype=np.int64), None
+    if isinstance(policy, MixedPolicy):
+        if policy.strategy.n_actions != n_actions:
+            raise InputError(
+                f"{side} mixed strategy has {policy.strategy.n_actions} entries, game offers {n_actions} actions"
+            )
+        cum = np.cumsum(policy.strategy.probs)
+        return np.minimum(np.searchsorted(cum, u, side="right"), cum.size - 1), None
+    if isinstance(policy, FrequencyExploiter):
+        counts = policy.virtual_counts
+        counts = np.ones(n_opponent) if counts is None else np.array(counts, dtype=float)
+        valid = counts.shape == (n_opponent,) and np.all(np.isfinite(counts) & (counts >= 0)) and counts.sum() > 0
+        if not valid:
+            raise InputError(f"{side} exploiter needs {n_opponent} finite non-negative virtual counts, not all zero")
+        return np.empty(u.size, dtype=np.int64), counts
+    raise InputError(f"unknown policy type {type(policy).__name__}")
 
 
 def run_repeated(
@@ -187,23 +147,14 @@ def run_repeated(
     """
     if rounds < 1:
         raise InputError(f"rounds must be >= 1, got {rounds}")
-    row_agent = _Agent(row, game.row_actions, game.col_actions, "row")
-    col_agent = _Agent(col, game.col_actions, game.row_actions, "col")
     u_row = generator(seed, 0).random(rounds)
     u_col = generator(seed, 1).random(rounds)
+    row_actions, row_counts = _plan(row, game.row_actions, game.col_actions, "row", u_row)
+    col_actions, col_counts = _plan(col, game.col_actions, game.row_actions, "col", u_col)
     A = game.row_payoff
     B = game.col_payoff
-    # the column exploiter scores its own actions against row counts: B^T
-    BT = B.T.copy()
-    row_actions = np.empty(rounds, dtype=np.int64)
-    col_actions = np.empty(rounds, dtype=np.int64)
-    for t in range(rounds):
-        i = row_agent.act(A, u_row[t])
-        j = col_agent.act(BT, u_col[t])
-        row_actions[t] = i
-        col_actions[t] = j
-        row_agent.observe(j)
-        col_agent.observe(i)
+    if row_counts is not None or col_counts is not None:
+        _best_responses(A, B, row_counts, col_counts, row_actions, col_actions, u_row, u_col)
     row_payoffs = A[row_actions, col_actions]
     col_payoffs = B[row_actions, col_actions]
     trace = MatchTrace(row_actions, col_actions, row_payoffs, col_payoffs, seed)

@@ -133,6 +133,11 @@ class TestClassifyDemo:
         )
         assert code == 2
         assert "unknown classifier" in err
+        code, _, err = run(
+            capsys, "classify-demo", "--mixture", mixture_file, "--classifier", "constant:x"
+        )
+        assert code == 2
+        assert "'x' is not an integer" in err
 
 
 class TestSolveGame:
@@ -238,10 +243,17 @@ class TestSimulateRepeated:
         assert code == 0
 
     def test_bad_policy_string(self, capsys):
-        code, _, err = run(
-            capsys, "simulate-repeated", "--game", "mp", "--row", "tit-for-tat", "--col", "pure:0"
-        )
-        assert code == 2
+        for policy, message in (
+            ("tit-for-tat", "unknown policy"),
+            ("pure:x", "'x' is not an integer"),
+            ("mixed:0.5,x", "'x' is not a number"),
+            ("mixed:nan,0.5", "finite"),
+        ):
+            code, _, err = run(
+                capsys, "simulate-repeated", "--game", "mp", "--row", policy, "--col", "pure:0"
+            )
+            assert code == 2, policy
+            assert message in err, policy
 
 
 class TestMwu:

@@ -1,3 +1,4 @@
+import hashlib
 import runpy
 from pathlib import Path
 
@@ -22,3 +23,9 @@ def test_harm_dilemma_demo_prints_the_exact_mix(capsys):
     out = capsys.readouterr().out
     assert "equilibrium mix: harm X with p=0.75, harm Y with p=0.25" in out
     assert "verified Nash at 1e-9: False" not in out
+
+
+def test_learning_demo_stdout_matches_its_digest(capsys):
+    runpy.run_path(str(DEMOS / "03_learning_and_exploitation.py"))["main"]()
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == "c0fab218e87b616fd97916f1f630a46a2e61dbd640ab046cb7412ece1f62f10f"

@@ -77,6 +77,8 @@ class TestMixedStrategy:
             MixedStrategy(np.array([0.6, 0.6]))
         with pytest.raises(InputError):
             MixedStrategy(np.array([-0.1, 1.1]))
+        with pytest.raises(InputError):
+            MixedStrategy(np.array([np.nan, np.nan]))
 
     def test_constructors(self):
         assert np.array_equal(MixedStrategy.pure(1, 3).probs, [0.0, 1.0, 0.0])

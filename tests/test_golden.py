@@ -6,14 +6,21 @@ the output is meant to change, and say which one and why in the change log.
 """
 
 import hashlib
+import json
 
 import numpy as np
 
 from randrule import (
     CostMatrix,
+    MixedPolicy,
+    MixedStrategy,
+    PurePolicy,
     SurveyDataset,
     SurveyRecord,
     bayes_classifier,
+    build_rock_paper_scissors,
+    exploitability_report,
+    fictitious_play,
     gaussian_mixture,
     mann_whitney_u,
     monte_carlo_cost,
@@ -23,7 +30,9 @@ from randrule import (
     run_report,
     sample_case_arrays,
     uniform_overlap_mixture,
+    zero_sum_game,
 )
+from randrule.cli import main
 
 GOLDEN_REPORT = {
     "comparisons.csv": "88adcb608255b56ccd442566f2efc8666e381ca9038296f765d3afcc724d0151",
@@ -113,3 +122,150 @@ def test_monte_carlo_costs_match_their_float_bits():
         "nearest-mean": _mc_hex(even, CostMatrix.zero_one(3), nearest_mean_classifier(even)),
     }
     assert got == GOLDEN_MC
+
+
+# fictitious_play(rps, 10_000, tie_seed=3): row counts, column counts, float.hex of the value
+GOLDEN_FP = ([3286, 3351, 3363], [3397, 3324, 3279], "0x1.3a92a30553261p-9")
+
+# SHA-256 of the simulate-repeated --trace CSV, 1000 rounds, seed 7
+GOLDEN_TRACES = {
+    ("rps", "pure:0", "exploiter"): "f9ea0bf06a6ded129ef3f077d8924ffe58dc6acf997102e8c1ad7f5f44c75c06",
+    ("mp", "mixed:0.5,0.5", "exploiter"): "4ac5f9b7b13a97e6d621333136d616af36b1fa699961cc3c3bcae55671b1c29b",
+    ("mp", "exploiter", "exploiter"): "c1733611187b38c605a9e7ca254577eaa787cd8abb07fb14e7207b883300e05a",
+}
+
+# float.hex of the exploitability_report fields (exploiter average, policy
+# average, value, gap, policy frequencies) on the 3x3 benchmark game, 1000 rounds, seed 6
+GAME_3X3 = [[3, -1, 0], [-2, 4, 1], [0, 1, -3]]
+GOLDEN_REPORTS = {
+    "pure:0": (
+        "0x1.fced916872b02p-1", "-0x1.fced916872b02p-1", "0x1.0000000000000p-1", "0x1.7e76c8b439581p+0",
+        ("0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0"),
+    ),
+    "mixed:0.3,0.3,0.4": (
+        "0x1.b53f7ced91687p-1", "-0x1.b53f7ced91687p-1", "0x1.0000000000000p-1", "0x1.5a9fbe76c8b44p+0",
+        ("0x1.3126e978d4fdfp-2", "0x1.4083126e978d5p-2", "0x1.8e5604189374cp-2"),
+    ),
+}
+
+OVERLAP_JSON = json.dumps(
+    {
+        "dimension": 1,
+        "components": [
+            {"prior": 0.5, "density": {"kind": "uniform", "lo": 0.0, "hi": 1.0}},
+            {"prior": 0.5, "density": {"kind": "uniform", "lo": 0.5, "hi": 1.5}},
+        ],
+    }
+)
+
+
+# stdout of each subcommand_argvs() call, with the report's out-dir masked as <out>
+GOLDEN_STDOUT = {
+    "classify-demo": (
+        "classifier        n      seed  mean_cost  std_error   analytic\n"
+        "randomized-bayes  20000  5     0.24555    0.00304355  0.25\n"
+    ),
+    "solve-game": (
+        "field              value\n"
+        "row                0.3286 0.3351 0.3363\n"
+        "col                0.3397 0.3324 0.3279\n"
+        "value              0.0024\n"
+        "is_nash(tol=0.05)  true\n"
+    ),
+    "simulate-repeated": (
+        "field            value\n"
+        "avg_row_payoff   -0.295\n"
+        "avg_col_payoff   0.295\n"
+        "row_frequencies  0.208 0.504 0.288\n"
+        "col_frequencies  0.0005 0 0.9995\n"
+        "rounds           2000\n"
+        "seed             9\n"
+    ),
+    "mwu": (
+        "u_x  u_y  z         p_two_sided  tie_corrected  degenerate\n"
+        "7    23   -1.45072  0.146858     true           false\n"
+    ),
+    "compare": (
+        "question  group_a   group_b  u      p         significant\n"
+        "q1        teachers  online   145.5  0.230804  false\n"
+    ),
+    "report": (
+        "wrote <out>/comparisons.csv\n"
+        "wrote <out>/q1.svg\n"
+        "wrote <out>/q2.svg\n"
+        "wrote <out>/q3.svg\n"
+        "wrote <out>/q4.svg\n"
+        "note: q1: low-n: group 'visitors' has 6 response(s) for 'q1'\n"
+        "note: q2: low-n: group 'visitors' has 5 response(s) for 'q2'\n"
+        "note: q3: low-n: group 'visitors' has 5 response(s) for 'q3'\n"
+        "note: q4: low-n: group 'visitors' has 4 response(s) for 'q4'\n"
+        "note: q4: categorical options: rank comparison and ordinal summaries omitted\n"
+        "question  group_a   group_b   u      p           significant\n"
+        "q1        visitors  teachers  22     0.0255425   true\n"
+        "q1        visitors  online    26     0.258018    false\n"
+        "q1        teachers  online    145.5  0.230804    false\n"
+        "q2        visitors  teachers  25.5   0.0492897   true\n"
+        "q2        visitors  online    2      0.00361093  true\n"
+        "q2        teachers  online    73.5   0.0462846   true\n"
+        "q3        visitors  teachers  94.5   0.0127578   true\n"
+        "q3        visitors  online    52     0.0513226   false\n"
+        "q3        teachers  online    128.5  0.624511    false\n"
+    ),
+}
+
+
+def subcommand_argvs(tmp_path) -> dict[str, list[str]]:
+    """One seeded invocation of each subcommand; the survey ones read golden_survey() as CSV."""
+    data = tmp_path / "survey.csv"
+    rows = ["respondent_id,group,question,response"]
+    rows += [f"{r.respondent_id},{r.group},{r.question},{'' if r.response is None else r.response}"
+             for r in golden_survey().records]
+    data.write_text("\n".join(rows) + "\n")
+    return {
+        "classify-demo": ["classify-demo", "--mixture", OVERLAP_JSON, "--classifier", "mr", "--n", "20000",
+                          "--seed", "5"],
+        "solve-game": ["solve-game", "--game", "rps", "--method", "fp", "--iters", "10000", "--seed", "3"],
+        "simulate-repeated": ["simulate-repeated", "--game", "rps", "--row", "mixed:0.2,0.5,0.3", "--col",
+                              "exploiter", "--rounds", "2000", "--seed", "9"],
+        "mwu": ["mwu", "--x", "1,2,2,3,3,3", "--y", "2,3,3,4,5"],
+        "compare": ["compare", "--data", str(data), "--question", "q1", "--groups", "teachers,online"],
+        "report": ["report", "--data", str(data), "--categorical", "q4", "--out-dir", str(tmp_path / "out")],
+    }
+
+
+def cli_stdout(argv, capsys, tmp_path) -> str:
+    assert main(argv) == 0
+    return capsys.readouterr().out.replace(str(tmp_path / "out"), "<out>")
+
+
+def test_fictitious_play_matches_its_counts_and_value_bits():
+    r = fictitious_play(build_rock_paper_scissors(), 10_000, tie_seed=3)
+    counts = [(s.probs * 10_000).round().astype(int).tolist() for s in (r.profile.row, r.profile.col)]
+    assert (*counts, r.value_estimate.hex()) == GOLDEN_FP
+
+
+def test_repeated_play_traces_match_their_digests(capsys, tmp_path):
+    got = {}
+    for game, row, col in GOLDEN_TRACES:
+        path = tmp_path / "trace.csv"
+        argv = ["simulate-repeated", "--game", game, "--row", row, "--col", col, "--rounds", "1000", "--seed", "7"]
+        assert main(argv + ["--trace", str(path)]) == 0
+        got[game, row, col] = _sha256(path.read_bytes())
+    capsys.readouterr()
+    assert got == GOLDEN_TRACES
+
+
+def test_exploitability_reports_match_their_float_bits():
+    game = zero_sum_game(GAME_3X3)
+    policies = {"pure:0": PurePolicy(0), "mixed:0.3,0.3,0.4": MixedPolicy(MixedStrategy(np.array([0.3, 0.3, 0.4])))}
+    got = {}
+    for name, policy in policies.items():
+        rep = exploitability_report(game, policy, 1000, 6)
+        fields = (rep.exploiter_avg_payoff, rep.policy_avg_payoff, rep.game_value, rep.payoff_gap)
+        got[name] = (*(f.hex() for f in fields), tuple(f.hex() for f in rep.policy_frequencies))
+    assert got == GOLDEN_REPORTS
+
+
+def test_subcommand_stdout_is_pinned(capsys, tmp_path):
+    got = {name: cli_stdout(argv, capsys, tmp_path) for name, argv in subcommand_argvs(tmp_path).items()}
+    assert got == GOLDEN_STDOUT

@@ -1,6 +1,10 @@
 """Property tests: each fast path against the slow oracle it replaced."""
 
+import csv
+import io
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,9 +15,14 @@ from hypothesis import given, settings, strategies as st
 from randrule import (
     ClassComponent,
     CostMatrix,
+    FrequencyExploiter,
     HarmScenario,
     IsotropicGaussian,
+    MixedPolicy,
+    MixedStrategy,
     Mixture,
+    NormalFormGame,
+    PurePolicy,
     SurveyDataset,
     SurveyRecord,
     UniformInterval,
@@ -23,14 +32,17 @@ from randrule import (
     constant_classifier,
     expected_cost_of_classifier,
     expected_cost_of_decision,
+    fictitious_play,
     find_pure_nash,
     is_nash,
     mann_whitney_u,
     randomized_bayes_classifier,
+    run_repeated,
     solve_zero_sum,
     zero_sum_game,
 )
 from randrule.games import MAX_EXACT_ACTIONS
+from randrule.rng import generator
 
 # derandomized so that every run checks the same examples
 PROPERTY = settings(derandomize=True, max_examples=200, deadline=None)
@@ -214,3 +226,138 @@ def test_randomized_bayes_costs_exactly_the_minimum(case):
             assert expected_cost_of_classifier(mixture, cost, rules[0], x) <= (
                 expected_cost_of_classifier(mixture, cost, rule, x) + 1e-12
             )
+
+
+class _Agent:
+    """The per-round policy dispatch that the array-drawn policies and the shared loop replaced."""
+
+    def __init__(self, policy, n_opponent):
+        self.policy = policy
+        if isinstance(policy, MixedPolicy):
+            self.cum = np.cumsum(policy.strategy.probs)
+        elif isinstance(policy, FrequencyExploiter):
+            counts = policy.virtual_counts
+            counts = np.ones(n_opponent) if counts is None else np.asarray(counts, dtype=float)
+            self.opponent_counts = counts.copy()
+
+    def act(self, payoff_vs_opponent, u):
+        if isinstance(self.policy, PurePolicy):
+            return self.policy.action
+        if isinstance(self.policy, MixedPolicy):
+            return int(min(np.searchsorted(self.cum, u, side="right"), self.cum.size - 1))
+        scores = payoff_vs_opponent @ self.opponent_counts
+        ties = np.flatnonzero(scores == scores.max())
+        return int(ties[int(u * ties.size)]) if ties.size > 1 else int(ties[0])
+
+    def observe(self, opponent_action):
+        if isinstance(self.policy, FrequencyExploiter):
+            self.opponent_counts[opponent_action] += 1
+
+
+def agent_loop(game, row, col, rounds, seed):
+    """(row, col) actions of the match as the per-round agents played it."""
+    row_agent = _Agent(row, game.col_actions)
+    col_agent = _Agent(col, game.row_actions)
+    u_row = generator(seed, 0).random(rounds)
+    u_col = generator(seed, 1).random(rounds)
+    BT = game.col_payoff.T.copy()
+    actions = np.empty((2, rounds), dtype=np.int64)
+    for t in range(rounds):
+        i = row_agent.act(game.row_payoff, u_row[t])
+        j = col_agent.act(BT, u_col[t])
+        actions[:, t] = i, j
+        row_agent.observe(j)
+        col_agent.observe(i)
+    return actions
+
+
+def record_csv(game, actions) -> bytes:
+    """The trace CSV as the per-round records wrote it: csv.writer over repr floats."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["round", "row_action", "col_action", "row_payoff", "col_payoff"])
+    for t, (i, j) in enumerate(actions.T):
+        writer.writerow([t, int(i), int(j), repr(float(game.row_payoff[i, j]) + 0.0),
+                         repr(float(game.col_payoff[i, j]) + 0.0)])
+    return buf.getvalue().encode()
+
+
+def incremental_fp(game, iterations, tie_seed):
+    """The fictitious-play loop with running score sums that the shared loop replaced."""
+    A, B = game.row_payoff, game.col_payoff
+    ties = generator(tie_seed).random(2 * iterations)
+    row_scores, col_scores = A.sum(axis=1), B.sum(axis=0)
+    row_counts = np.zeros(game.row_actions, dtype=np.int64)
+    col_counts = np.zeros(game.col_actions, dtype=np.int64)
+    total = 0.0
+    for t in range(iterations):
+        r, c = (np.flatnonzero(s == s.max()) for s in (row_scores, col_scores))
+        i = r[int(ties[2 * t] * r.size)] if r.size > 1 else r[0]
+        j = c[int(ties[2 * t + 1] * c.size)] if c.size > 1 else c[0]
+        row_counts[i] += 1
+        col_counts[j] += 1
+        total += A[i, j]
+        row_scores += A[:, j]
+        col_scores += B[i, :]
+    return row_counts, col_counts, total / iterations
+
+
+@st.composite
+def small_games(draw, kinds=("integer", "one-decimal", "general-sum")):
+    """2-4 actions a side: payoffs in {-1, 0, 1} (many exact score ties), one-decimal payoffs (score sums that
+    round) or general-sum one-decimal payoffs."""
+    shape = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    kind = draw(st.sampled_from(kinds))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    A = rng.integers(-1, 2, size=shape).astype(float)
+    if kind == "one-decimal":
+        A = rng.integers(-30, 31, size=shape) / 10
+    if kind == "general-sum":
+        return NormalFormGame(A, rng.integers(-30, 31, size=shape) / 10)
+    return zero_sum_game(A)
+
+
+@st.composite
+def policies(draw, n_actions, n_opponent):
+    kind = draw(st.sampled_from(["pure", "mixed", "exploiter", "exploiter-counts"]))
+    if kind == "pure":
+        return PurePolicy(draw(st.integers(0, n_actions - 1)))
+    if kind == "mixed":
+        weights = np.array(draw(st.lists(st.integers(0, 5), min_size=n_actions, max_size=n_actions))) + 0.5
+        return MixedPolicy(MixedStrategy(weights / weights.sum()))
+    if kind == "exploiter":
+        return FrequencyExploiter()
+    counts = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, 7.0]), min_size=n_opponent, max_size=n_opponent))
+    return FrequencyExploiter(np.array(counts) + np.eye(n_opponent)[0])
+
+
+@st.composite
+def matches(draw):
+    game = draw(small_games())
+    row = draw(policies(game.row_actions, game.col_actions))
+    col = draw(policies(game.col_actions, game.row_actions))
+    return game, row, col, draw(st.integers(1, 300)), draw(st.integers(0, 2**64 - 1))
+
+
+@PROPERTY
+@given(matches())
+def test_repeated_play_replays_the_agent_loop(match):
+    game, row, col, rounds, seed = match
+    trace, summary = run_repeated(game, row, col, rounds, seed)
+    expected = agent_loop(game, row, col, rounds, seed)
+    assert np.array_equal(trace.row_actions, expected[0])
+    assert np.array_equal(trace.col_actions, expected[1])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.csv"
+        trace.write_csv(path)
+        assert path.read_bytes() == record_csv(game, expected)
+
+
+@PROPERTY
+@given(small_games(kinds=("integer",)), st.integers(1, 300), st.integers(0, 2**64 - 1))
+def test_fictitious_play_replays_the_incremental_loop_on_integer_payoffs(game, iterations, tie_seed):
+    result = fictitious_play(game, iterations, tie_seed)
+    row_counts, col_counts, value = incremental_fp(game, iterations, tie_seed)
+    assert np.array_equal(result.profile.row.probs, row_counts / iterations)
+    assert np.array_equal(result.profile.col.probs, col_counts / iterations)
+    assert result.value_estimate.hex() == value.hex()

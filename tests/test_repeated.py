@@ -77,14 +77,19 @@ class TestBookkeeping:
         assert rows[1][0] == "0"
         assert int(rows[3][1]) == trace.row_actions[2]
 
-    def test_trace_records_mirror_the_arrays(self):
+    def test_trace_records_mirror_the_arrays(self, tmp_path):
         g = build_rock_paper_scissors()
         trace, _ = run_repeated(g, mixed(0.2, 0.5, 0.3), PurePolicy(1), 20, seed=6)
-        recs = trace.records()
-        assert len(recs) == 20
-        assert recs[7].round == 7
-        assert recs[7].row_action == trace.row_actions[7]
-        assert recs[7].row_payoff == g.row_payoff[recs[7].row_action, recs[7].col_action]
+        path = tmp_path / "trace.csv"
+        trace.write_csv(path)
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert len(rows) == 20
+        for t, (rnd, i, j, row_payoff, col_payoff) in enumerate(rows):
+            i, j = int(i), int(j)
+            assert (int(rnd), i, j) == (t, trace.row_actions[t], trace.col_actions[t])
+            assert float(row_payoff) == g.row_payoff[i, j]
+            assert float(col_payoff) == g.col_payoff[i, j]
 
 
 class TestExploitation:
@@ -165,14 +170,15 @@ class TestValidation:
                 10,
                 seed=0,
             )
-        with pytest.raises(InputError):
-            run_repeated(
-                build_matching_pennies(),
-                FrequencyExploiter(np.array([1.0, -1.0])),
-                PurePolicy(0),
-                10,
-                seed=0,
-            )
+        for counts in ([1.0, -1.0], [np.nan, 1.0], [np.inf, 1.0]):
+            with pytest.raises(InputError):
+                run_repeated(
+                    build_matching_pennies(),
+                    FrequencyExploiter(np.array(counts)),
+                    PurePolicy(0),
+                    10,
+                    seed=0,
+                )
 
     def test_rounds_must_be_positive(self):
         with pytest.raises(InputError):
