@@ -112,6 +112,8 @@ def _plan(policy: AgentPolicy, n_actions: int, n_opponent: int, side: str, u: np
     """(actions, counts) of one side: all actions of a history-free policy, or an
     exploiter's validated counts of opponent actions and an array the loop fills."""
     if isinstance(policy, PurePolicy):
+        if not isinstance(policy.action, (int, np.integer)):
+            raise InputError(f"{side} pure action {policy.action!r} is not an integer")
         if not 0 <= policy.action < n_actions:
             raise InputError(f"{side} pure action {policy.action} out of range for {n_actions} actions")
         return np.full(u.size, policy.action, dtype=np.int64), None

@@ -9,8 +9,12 @@ question, responses coded 1..k, an empty field meaning missing. Each
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from collections.abc import Iterable, Sequence
+from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from .errors import InputError
 from .ordinal import MwuResult, OrdinalSample, mann_whitney_u
@@ -34,47 +38,115 @@ class SurveyRecord:
     response: int | None
 
 
-@dataclass(frozen=True)
+def _encode(column: list[str]) -> tuple[list[str], np.ndarray]:
+    """Distinct values in first-appearance order, and each row's position among them."""
+    names = dict.fromkeys(column)
+    code = dict(zip(names, range(len(names))))
+    return list(names), np.fromiter(map(code.__getitem__, column), np.intp, len(column))
+
+
+class _Columns(Sequence[SurveyRecord]):
+    """Survey rows held as columns and read back as records one at a time.
+
+    Respondent, group and question are dictionary-encoded; ``response`` holds
+    the response codes, 0 meaning missing.
+    """
+
+    def __init__(self, respondent: list[str], group: list[str], question: list[str], response: np.ndarray) -> None:
+        self.respondents, self.respondent = _encode(respondent)
+        self.groups, self.group = _encode(group)
+        self.questions, self.question = _encode(question)
+        self.response = response
+
+    def __len__(self) -> int:
+        return len(self.response)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(len(self))[i])
+        return SurveyRecord(
+            self.respondents[self.respondent[i]],
+            self.groups[self.group[i]],
+            self.questions[self.question[i]],
+            int(self.response[i]) or None,
+        )
+
+
+class _RowError(InputError):
+    """A dataset error found in the record at position ``row``."""
+
+    def __init__(self, message: str, row: int) -> None:
+        super().__init__(message)
+        self.row = row
+
+
 class SurveyDataset:
     """Validated long-form survey records with a declared category count.
 
-    Building a dataset makes the only pass over ``records``: it validates
-    each one and indexes the non-missing responses by question and group.
-    Every lookup reads that index.
+    The records are held as columns. Building a dataset validates the columns
+    and indexes the non-missing responses by question and group with one
+    stable sort; every lookup reads that index. ``records`` is the tuple given
+    to the constructor or, for a dataset loaded from CSV, a sequence that
+    builds each record when it is read.
     """
 
-    records: tuple[SurveyRecord, ...]
-    category_count: int = 5
-    _groups: tuple[str, ...] = field(init=False, repr=False, compare=False)
-    _index: dict[str, dict[str, list[int]]] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        records = tuple(self.records)
+    def __init__(self, records: Iterable[SurveyRecord], category_count: int = 5) -> None:
+        records = tuple(records)
         if not records:
             raise InputError("no records: the dataset is empty")
-        if self.category_count < 2:
-            raise InputError(f"category count must be >= 2, got {self.category_count}")
-        seen: set[tuple[str, str]] = set()
-        groups: dict[str, None] = {}
-        index: dict[str, dict[str, list[int]]] = {}
-        for rec in records:
-            if not rec.group:
-                raise InputError(f"record {rec.respondent_id!r}/{rec.question!r} has an empty group")
-            key = (rec.respondent_id, rec.question)
-            if key in seen:
-                raise InputError(f"duplicate response for respondent {key[0]!r}, question {key[1]!r}")
-            seen.add(key)
-            if rec.response is not None and not 1 <= rec.response <= self.category_count:
-                raise InputError(
-                    f"response {rec.response} for respondent {rec.respondent_id!r} outside 1..{self.category_count}"
-                )
-            groups[rec.group] = None
-            answers = index.setdefault(rec.question, {}).setdefault(rec.group, [])
-            if rec.response is not None:
-                answers.append(rec.response)
-        object.__setattr__(self, "records", records)
-        object.__setattr__(self, "_groups", tuple(groups))
-        object.__setattr__(self, "_index", index)
+        # 0 codes a missing response, so a recorded 0 becomes -1 and fails the range check
+        response = np.array([0 if r.response is None else r.response or -1 for r in records])
+        if response.dtype.kind not in "iu":
+            raise InputError(f"responses must be integers or None, got {response.dtype} values")
+        columns = _Columns(
+            [r.respondent_id for r in records], [r.group for r in records], [r.question for r in records], response
+        )
+        self._index_columns(columns, category_count, records)
+
+    @classmethod
+    def _from_columns(cls, columns: _Columns, category_count: int) -> SurveyDataset:
+        dataset = cls.__new__(cls)
+        dataset._index_columns(columns, category_count, columns)
+        return dataset
+
+    def _index_columns(self, columns: _Columns, category_count: int, records: Sequence[SurveyRecord]) -> None:
+        """Validate and index ``columns``. The first bad record raises ``_RowError``,
+        its message naming ``records[row]``."""
+        if category_count < 2:
+            raise InputError(f"category count must be >= 2, got {category_count}")
+        response = columns.response
+        empty_group = np.array([not g for g in columns.groups])[columns.group]
+        pair = columns.respondent * len(columns.questions) + columns.question
+        order = np.argsort(pair, kind="stable")
+        duplicate = np.zeros(len(columns), dtype=bool)
+        duplicate[order[1:][pair[order[1:]] == pair[order[:-1]]]] = True
+        out_of_range = (response < 0) | (response > category_count)
+        bad = empty_group | duplicate | out_of_range
+        if bad.any():
+            row = int(np.argmax(bad))
+            rec = records[row]
+            if empty_group[row]:
+                message = f"record {rec.respondent_id!r}/{rec.question!r} has an empty group"
+            elif duplicate[row]:
+                message = f"duplicate response for respondent {rec.respondent_id!r}, question {rec.question!r}"
+            else:
+                message = f"response {rec.response} for respondent {rec.respondent_id!r} outside 1..{category_count}"
+            raise _RowError(message, row)
+
+        present = np.flatnonzero(response)
+        n_groups = len(columns.groups)
+        cell = columns.question[present] * n_groups + columns.group[present]
+        order = np.argsort(cell, kind="stable")
+        cell = cell[order]
+        starts = np.flatnonzero(np.diff(cell, prepend=-1))
+        keys = [(columns.questions[c // n_groups], columns.groups[c % n_groups]) for c in cell[starts].tolist()]
+        values = response[present[order]].tolist()
+        bounds = starts.tolist() + [len(values)]
+        self.records = records
+        self.category_count = category_count
+        self._groups = tuple(columns.groups)
+        self._questions = tuple(columns.questions)
+        self._index = {key: values[a:b] for key, a, b in zip(keys, bounds, bounds[1:])}
 
     def groups(self) -> list[str]:
         """Group names in first-appearance order."""
@@ -82,11 +154,11 @@ class SurveyDataset:
 
     def questions(self) -> list[str]:
         """Question ids in first-appearance order."""
-        return list(self._index)
+        return list(self._questions)
 
     def responses(self, question: str, group: str) -> list[int]:
         """Non-missing responses of one group to one question, in record order."""
-        return list(self._index.get(question, {}).get(group, ()))
+        return list(self._index.get((question, group), ()))
 
     def sample(self, question: str, group: str) -> OrdinalSample:
         values = self.responses(question, group)
@@ -96,40 +168,63 @@ class SurveyDataset:
 
 
 def load_survey_csv(path: str | Path, category_count: int = 5) -> SurveyDataset:
-    """Parse and validate a survey CSV; errors carry the offending line number."""
+    """Parse and validate a survey CSV; errors carry the offending line number.
+
+    Rows count from 1 at the header, blank rows included. A UTF-8 byte-order
+    mark is skipped.
+    """
     path = Path(path)
     if not path.exists():
         raise InputError(f"survey file not found: {path}")
-    records: list[SurveyRecord] = []
-    with open(path, newline="") as fh:
+    fields: list[str] = []
+    blanks: list[int] = []  # the number of records read before each blank row
+    bad_width = None
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             raise InputError(f"{path}: no records (empty file)")
         if [h.strip() for h in header] != CSV_HEADER:
             raise InputError(f"{path}: header must be {','.join(CSV_HEADER)!r}, got {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise InputError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
-            respondent, group, question, raw = (field.strip() for field in row)
-            if raw == "":
-                response = None
+        extend = fields.extend
+        for row in reader:
+            if len(row) == 4:
+                extend(row)
+            elif row:
+                bad_width = len(row)
+                break
             else:
+                blanks.append(len(fields) // 4)
+
+    def line(i: int) -> int:
+        return 2 + i + bisect_right(blanks, i)
+
+    raw = list(map(str.strip, fields[3::4]))
+    # the table never outgrows the rows; codes beyond it go through int() below
+    table = {str(v): v for v in range(1, min(category_count, len(raw)) + 1)}
+    table[""] = 0
+    codes = list(map(table.get, raw))
+    if None in codes:
+        # other spellings of a code (03, +3, non-ASCII digits) and bad responses
+        for i, code in enumerate(codes):
+            if code is None:
                 try:
-                    response = int(raw)
+                    code = int(raw[i])
                 except ValueError:
-                    raise InputError(f"{path}:{lineno}: response {raw!r} is not an integer") from None
-                if not 1 <= response <= category_count:
-                    raise InputError(
-                        f"{path}:{lineno}: response {response} outside 1..{category_count}"
-                    )
-            records.append(SurveyRecord(respondent, group, question, response))
-    if not records:
+                    raise InputError(f"{path}:{line(i)}: response {raw[i]!r} is not an integer") from None
+                if not 1 <= code <= category_count:
+                    raise InputError(f"{path}:{line(i)}: response {code} outside 1..{category_count}")
+                codes[i] = code
+    if bad_width is not None:
+        raise InputError(f"{path}:{line(len(codes))}: expected 4 fields, got {bad_width}")
+    if not codes:
         raise InputError(f"{path}: no records")
+    # the string columns live only until they are encoded
+    columns = _Columns(*(list(map(str.strip, fields[j::4])) for j in range(3)), np.array(codes))
     try:
-        return SurveyDataset(tuple(records), category_count)
+        return SurveyDataset._from_columns(columns, category_count)
+    except _RowError as exc:
+        raise InputError(f"{path}:{line(exc.row)}: {exc}") from exc
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from exc
 

@@ -17,6 +17,7 @@ from randrule import (
     CostMatrix,
     FrequencyExploiter,
     HarmScenario,
+    InputError,
     IsotropicGaussian,
     MixedPolicy,
     MixedStrategy,
@@ -35,6 +36,7 @@ from randrule import (
     fictitious_play,
     find_pure_nash,
     is_nash,
+    load_survey_csv,
     mann_whitney_u,
     randomized_bayes_classifier,
     run_repeated,
@@ -43,6 +45,7 @@ from randrule import (
 )
 from randrule.games import MAX_EXACT_ACTIONS
 from randrule.rng import generator
+from randrule.survey import CSV_HEADER
 
 # derandomized so that every run checks the same examples
 PROPERTY = settings(derandomize=True, max_examples=200, deadline=None)
@@ -109,6 +112,118 @@ def test_lookups_match_a_scan_of_the_records(rows):
             # callers get a copy; changing it leaves the dataset as it was
             got.append(0)
             assert ds.responses(question, group) == scanned
+
+
+def row_by_row_load(path, category_count):
+    """The survey loader before the columnar one: a ``SurveyRecord`` per row, then
+    the per-record validation and index of the old ``SurveyDataset.__post_init__``.
+
+    Returns (records, groups, index). Its dataset errors read ``{path}: ...``;
+    here they name the record's line as the columnar loader does.
+    """
+    records, lines = [], []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise InputError(f"{path}: no records (empty file)")
+        if [h.strip() for h in header] != CSV_HEADER:
+            raise InputError(f"{path}: header must be {','.join(CSV_HEADER)!r}, got {header}")
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != 4:
+                raise InputError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
+            respondent, group, question, raw = (field.strip() for field in row)
+            if raw == "":
+                response = None
+            else:
+                try:
+                    response = int(raw)
+                except ValueError:
+                    raise InputError(f"{path}:{lineno}: response {raw!r} is not an integer") from None
+                if not 1 <= response <= category_count:
+                    raise InputError(f"{path}:{lineno}: response {response} outside 1..{category_count}")
+            records.append(SurveyRecord(respondent, group, question, response))
+            lines.append(lineno)
+    if not records:
+        raise InputError(f"{path}: no records")
+    seen, groups, index = set(), {}, {}
+    for rec, lineno in zip(records, lines):
+        if not rec.group:
+            raise InputError(f"{path}:{lineno}: record {rec.respondent_id!r}/{rec.question!r} has an empty group")
+        key = (rec.respondent_id, rec.question)
+        if key in seen:
+            raise InputError(f"{path}:{lineno}: duplicate response for respondent {key[0]!r}, question {key[1]!r}")
+        seen.add(key)
+        groups[rec.group] = None
+        answers = index.setdefault(rec.question, {}).setdefault(rec.group, [])
+        if rec.response is not None:
+            answers.append(rec.response)
+    return records, list(groups), index
+
+
+# padded fields are stripped; a field with a comma is written quoted
+PADDINGS = ["{}", "{}", "{}", " {}", "{} ", "{},x"]
+wrong_width = st.lists(st.sampled_from(["r1", "g1", "q1", "3", ""]), min_size=1, max_size=6).filter(lambda r: len(r) != 4)
+
+
+@st.composite
+def survey_csv(draw, k):
+    """A survey CSV: mostly valid rows, with blank rows, rows of the wrong width,
+    empty groups, out-of-range and non-integer responses, and duplicates."""
+    # valid codes in the spellings int() accepts, and responses a k-category survey rejects
+    valid = ["", "1", "2", " 2 ", "02", "+2", "\uff12", str(k), f"0{k}", f"+{k}"]
+    odd = ["x", "0", "2.5", str(k + 1), "-1", ""]
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    header = draw(st.sampled_from([",".join(CSV_HEADER)] * 10 + [" respondent_id , group,question ,response", "id,g,q,r"]))
+    buf = io.StringIO(newline="")
+    buf.write(header + newline)
+    writer = csv.writer(buf, lineterminator=newline)
+    for _ in range(draw(st.integers(0, 20))):
+        kind = draw(st.sampled_from(["row"] * 20 + ["blank", "blank", "wide", "odd"]))
+        if kind == "blank":
+            writer.writerow([])
+            continue
+        if kind == "wide":
+            writer.writerow(draw(wrong_width))
+            continue
+        respondent = draw(st.sampled_from(PADDINGS)).format(f"r{draw(st.integers(1, 25))}")
+        group = draw(st.sampled_from(PADDINGS)).format(draw(st.sampled_from(["g1", "g2", "g3"])))
+        question = draw(st.sampled_from(PADDINGS)).format(draw(st.sampled_from(["q1", "q2", "q3"])))
+        response = draw(st.sampled_from(valid))
+        if kind == "odd" and draw(st.booleans()):
+            group = draw(st.sampled_from(["", " "]))
+        elif kind == "odd":
+            response = draw(st.sampled_from(odd))
+        writer.writerow([respondent, group, question, response])
+    return buf.getvalue()
+
+
+@PROPERTY
+@given(st.sampled_from([2, 5, 300]).flatmap(lambda k: st.tuples(st.just(k), survey_csv(k))))
+def test_columnar_loader_matches_the_row_by_row_loader(survey):
+    k, text = survey
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "survey.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        try:
+            expected = row_by_row_load(path, k)
+        except InputError as exc:
+            with pytest.raises(InputError) as got:
+                load_survey_csv(path, k)
+            assert str(got.value) == str(exc)
+            return
+        ds = load_survey_csv(path, k)
+    records, groups, index = expected
+    assert len(ds.records) == len(records)
+    for i, rec in enumerate(records):
+        assert ds.records[i] == rec
+    assert ds.groups() == groups
+    assert ds.questions() == list(index)
+    for question in index:
+        for group in groups + ["g9"]:
+            assert ds.responses(question, group) == index[question].get(group, [])
 
 
 @st.composite

@@ -157,6 +157,12 @@ class TestValidation:
         with pytest.raises(InputError):
             run_repeated(build_matching_pennies(), PurePolicy(2), PurePolicy(0), 10, seed=0)
 
+    def test_pure_action_must_be_an_integer(self):
+        with pytest.raises(InputError, match=r"row pure action 1\.5 is not an integer"):
+            run_repeated(build_matching_pennies(), PurePolicy(1.5), PurePolicy(0), 3, seed=0)
+        trace, _ = run_repeated(build_matching_pennies(), PurePolicy(np.int64(1)), PurePolicy(0), 3, seed=0)
+        assert trace.row_actions.tolist() == [1, 1, 1]
+
     def test_mixed_strategy_length_mismatch(self):
         with pytest.raises(InputError):
             run_repeated(build_rock_paper_scissors(), mixed(0.5, 0.5), PurePolicy(0), 10, seed=0)

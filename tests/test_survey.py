@@ -66,7 +66,23 @@ class TestLoading:
 
     def test_duplicate_respondent_question_rejected(self, tmp_path):
         path = write_csv(tmp_path / "d.csv", [("r1", "g1", "q1", 3), ("r1", "g1", "q1", 4)])
-        with pytest.raises(InputError, match="duplicate"):
+        with pytest.raises(InputError, match=r":3: duplicate"):
+            load_survey_csv(path)
+
+    def test_empty_group_names_the_line(self, tmp_path):
+        path = write_csv(tmp_path / "g.csv", [("r1", "g1", "q1", 3), ("r2", " ", "q1", 4)])
+        with pytest.raises(InputError, match=r"g\.csv:3: record 'r2'/'q1' has an empty group"):
+            load_survey_csv(path)
+
+    def test_byte_order_mark_and_crlf_line_endings(self, tmp_path):
+        path = tmp_path / "excel.csv"
+        path.write_bytes("\ufeffrespondent_id,group,question,response\r\nr1,g1,q1,3\r\n\r\nr2,g1,q1,\r\n".encode())
+        ds = load_survey_csv(path)
+        assert len(ds.records) == 2
+        assert ds.records[1] == SurveyRecord("r2", "g1", "q1", None)
+        assert ds.responses("q1", "g1") == [3]
+        path.write_bytes(path.read_bytes() + b"r1,g1,q1,4\r\n")
+        with pytest.raises(InputError, match=r"excel\.csv:5: duplicate"):
             load_survey_csv(path)
 
     def test_missing_responses_preserved(self, tmp_path):
@@ -88,6 +104,13 @@ class TestDatasetValidation:
     def test_response_range_checked(self):
         with pytest.raises(InputError):
             SurveyDataset((SurveyRecord("r1", "g1", "q1", 9),), category_count=5)
+        # 0 is a code outside 1..k, not a missing response
+        with pytest.raises(InputError, match="response 0 for respondent 'r2' outside 1..5"):
+            SurveyDataset((SurveyRecord("r1", "g1", "q1", None), SurveyRecord("r2", "g1", "q1", 0)))
+
+    def test_non_integer_response_rejected(self):
+        with pytest.raises(InputError, match="integers"):
+            SurveyDataset((SurveyRecord("r1", "g1", "q1", 3), SurveyRecord("r2", "g1", "q1", 2.5)))
 
 
 class TestCompareGroups:
