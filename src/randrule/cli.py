@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import sys
 
 import numpy as np
@@ -40,7 +39,7 @@ from .games import (
 from .mixtures import Mixture, UniformInterval, load_mixture
 from .ordinal import mann_whitney_u
 from .repeated import FrequencyExploiter, MixedPolicy, PurePolicy, run_repeated
-from .report import run_report
+from .report import CSV_HEADER, comparison_row, run_report
 from .survey import compare_groups, load_survey_csv
 
 __all__ = ["main"]
@@ -230,17 +229,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     comp = compare_groups(
         dataset, args.question, groups[0], groups[1], args.alpha, frozenset(_split_list(args.categorical))
     )
-    rows = [
-        [
-            comp.question,
-            comp.group_a,
-            comp.group_b,
-            _num(comp.result.u_x),
-            _num(comp.result.p_two_sided),
-            "true" if comp.significant else "false",
-        ]
-    ]
-    _emit(["question", "group_a", "group_b", "u", "p", "significant"], rows, args.format)
+    _emit(CSV_HEADER, [comparison_row(comp)], args.format)
     return 0
 
 
@@ -264,12 +253,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
     for rep in bundle.questions:
         for note in rep.notes:
             print(f"note: {rep.question}: {note}")
-    if args.format == "csv":
-        sys.stdout.write(bundle.comparisons_csv)
-    else:
-        rows = [list(r) for r in csv.reader(io.StringIO(bundle.comparisons_csv))]
-        if len(rows) > 1:
-            _emit(rows[0], rows[1:], "table")
+    rows = [comparison_row(comp) for rep in bundle.questions for comp in rep.comparisons]
+    # the CSV always has its header; the table is left out when nothing was compared
+    if rows or args.format == "csv":
+        _emit(CSV_HEADER, rows, args.format)
     return 0
 
 

@@ -21,7 +21,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import InputError
-from .mixtures import IsotropicGaussian, Mixture, _sample_arrays_seq, _weighted_densities, posterior
+from .mixtures import IsotropicGaussian, Mixture, _sample_arrays, _weighted_densities, posterior
 from .rng import generator
 
 __all__ = [
@@ -319,12 +319,11 @@ def monte_carlo_cost(
         raise InputError(f"sample size must be >= 1, got {n}")
     if classifier.label_count != mixture.label_count:
         raise InputError("classifier and mixture disagree on the number of classes")
-    case_seq, decision_seq = np.random.SeedSequence(seed).spawn(2)
-    X, labels = _sample_arrays_seq(mixture, n, case_seq)
+    X, labels = _sample_arrays(mixture, n, generator(seed, 0))
     if isinstance(classifier, DeterministicClassifier):
         decisions = classifier.decide_batch(X)
     else:
-        u = np.random.Generator(np.random.PCG64(decision_seq)).random(n)
+        u = generator(seed, 1).random(n)
         decisions = classifier.realize_batch(X, u)
     costs = cost.values[labels, decisions]
     se = float(costs.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0

@@ -62,17 +62,19 @@ class NormalFormGame:
 
     row_payoff: np.ndarray
     col_payoff: np.ndarray
-    zero_sum: bool = False
 
     def __post_init__(self) -> None:
         row = _payoff_array(self.row_payoff, "row")
         col = _payoff_array(self.col_payoff, "column")
         if row.shape != col.shape:
             raise InputError(f"payoff shapes differ: {row.shape} vs {col.shape}")
-        if self.zero_sum and not np.array_equal(col, -row):
-            raise InputError("zero_sum games need col_payoff == -row_payoff")
         object.__setattr__(self, "row_payoff", row)
         object.__setattr__(self, "col_payoff", col)
+
+    @property
+    def zero_sum(self) -> bool:
+        """True iff the column player's payoff is exactly the negation of the row player's."""
+        return bool(np.array_equal(self.col_payoff, -self.row_payoff))
 
     @property
     def row_actions(self) -> int:
@@ -86,7 +88,7 @@ class NormalFormGame:
 def zero_sum_game(row_payoff) -> NormalFormGame:
     """Game where the column player's payoff is the negation of the row's."""
     row = np.asarray(row_payoff, dtype=float)
-    return NormalFormGame(row, -row, zero_sum=True)
+    return NormalFormGame(row, -row)
 
 
 @dataclass(frozen=True, eq=False)

@@ -17,7 +17,10 @@ def read_json_source(source, what: str):
         path = Path(text)
         if not path.exists():
             raise InputError(f"{what} file not found: {path}")
-        text = path.read_text()
+        try:
+            text = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise InputError(f"cannot read {what} file {path}: {exc}") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import InputError, UnsupportedEvidenceError
 from .jsonio import read_json_source
-from .rng import box_muller
+from .rng import box_muller, generator
 
 __all__ = [
     "LabelId",
@@ -253,12 +253,9 @@ def _transform(density: Density, u: np.ndarray) -> np.ndarray:
     return density.mean + math.sqrt(density.lam) * z[:, : density.dimension]
 
 
-def _sample_arrays_seq(
-    mixture: Mixture, n: int, seq: np.random.SeedSequence
-) -> tuple[np.ndarray, np.ndarray]:
+def _sample_arrays(mixture: Mixture, n: int, gen: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     if n < 1:
         raise InputError(f"sample size must be >= 1, got {n}")
-    gen = np.random.Generator(np.random.PCG64(seq))
     width = max(_uniform_budget(c.density) for c in mixture.components)
     table = gen.random((n, 1 + width))
     cum = np.cumsum(mixture.priors)
@@ -278,7 +275,7 @@ def sample_case_arrays(mixture: Mixture, n: int, seed: int) -> tuple[np.ndarray,
     Identical seeds give bit-identical output, and the first m rows for a
     sample of size n coincide with the sample of size m for every m <= n.
     """
-    return _sample_arrays_seq(mixture, n, np.random.SeedSequence(seed))
+    return _sample_arrays(mixture, n, generator(seed))
 
 
 def _density_from_dict(obj: dict) -> Density:

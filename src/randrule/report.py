@@ -20,12 +20,18 @@ from .errors import InputError
 from .ordinal import DescriptiveSummary, descriptive_summary
 from .survey import GroupComparison, SurveyDataset, compare_groups
 
-__all__ = ["QuestionReport", "ReportBundle", "run_report", "LOW_N_THRESHOLD"]
+__all__ = ["QuestionReport", "ReportBundle", "run_report", "comparison_row", "LOW_N_THRESHOLD", "CSV_HEADER"]
 
 # below this many responses the normal approximation is shaky; flag it
 LOW_N_THRESHOLD = 8
 
 CSV_HEADER = ["question", "group_a", "group_b", "u", "p", "significant"]
+
+
+def comparison_row(comp: GroupComparison) -> list[str]:
+    """The ``CSV_HEADER`` fields of one comparison, as the report CSV and ``randrule compare`` print them."""
+    u, p = f"{comp.result.u_x:.6g}", f"{comp.result.p_two_sided:.6g}"
+    return [comp.question, comp.group_a, comp.group_b, u, p, "true" if comp.significant else "false"]
 
 
 @dataclass(frozen=True)
@@ -100,16 +106,7 @@ def run_report(
         for ga, gb in combinations(groups, 2):
             comp = compare_groups(dataset, question, ga, gb, alpha, categorical)
             comparisons.append(comp)
-            writer.writerow(
-                [
-                    question,
-                    ga,
-                    gb,
-                    f"{comp.result.u_x:g}",
-                    f"{comp.result.p_two_sided:.6g}",
-                    "true" if comp.significant else "false",
-                ]
-            )
+            writer.writerow(comparison_row(comp))
         spec = ChartSpec(question, tuple(labels), neutral, tuple(groups))
         chart = render_diverging_chart(dataset, spec)
         reports.append(QuestionReport(question, summaries, tuple(comparisons), chart, tuple(notes)))

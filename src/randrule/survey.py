@@ -179,22 +179,26 @@ def load_survey_csv(path: str | Path, category_count: int = 5) -> SurveyDataset:
     fields: list[str] = []
     blanks: list[int] = []  # the number of records read before each blank row
     bad_width = None
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise InputError(f"{path}: no records (empty file)")
-        if [h.strip() for h in header] != CSV_HEADER:
-            raise InputError(f"{path}: header must be {','.join(CSV_HEADER)!r}, got {header}")
-        extend = fields.extend
-        for row in reader:
-            if len(row) == 4:
-                extend(row)
-            elif row:
-                bad_width = len(row)
-                break
-            else:
-                blanks.append(len(fields) // 4)
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise InputError(f"{path}: no records (empty file)")
+            if [h.strip() for h in header] != CSV_HEADER:
+                raise InputError(f"{path}: header must be {','.join(CSV_HEADER)!r}, got {header}")
+            extend = fields.extend
+            # the file is decoded as the rows stream, so a bad byte is raised in this loop
+            for row in reader:
+                if len(row) == 4:
+                    extend(row)
+                elif row:
+                    bad_width = len(row)
+                    break
+                else:
+                    blanks.append(len(fields) // 4)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read survey file {path}: {exc}") from exc
 
     def line(i: int) -> int:
         return 2 + i + bisect_right(blanks, i)

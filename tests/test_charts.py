@@ -35,7 +35,7 @@ class TestDivergingGeometry:
     def test_worked_example_centers_the_neutral_half(self):
         # responses 40% / 0% / 20% / 0% / 40%: the axis sits 50% into the bar
         ds = dataset_from({"g": [1, 1, 3, 5, 5]})
-        spec = ChartSpec("q1", ("c1", "c2", "c3", "c4", "c5"), 2, ("g",), width=840)
+        spec = ChartSpec("q1", ("c1", "c2", "c3", "c4", "c5"), 2, ("g",))
         svg = render_diverging_chart(ds, spec)
         scale = 840 - LEFT_MARGIN - RIGHT_MARGIN  # one group: span is exactly 1
         segs = rects(svg)
@@ -102,10 +102,6 @@ class TestSpecValidation:
         with pytest.raises(InputError):
             ChartSpec("q1", ("a", "b", "c"), 3, ("g",))
 
-    def test_color_count_must_match(self):
-        with pytest.raises(InputError):
-            ChartSpec("q1", ("a", "b", "c"), 1, ("g",), colors=("#fff",))
-
     def test_category_count_must_match_dataset(self):
         ds = dataset_from({"g": [1, 2, 3]}, k=5)
         spec = ChartSpec("q1", ("a", "b", "c"), 1, ("g",))
@@ -125,3 +121,35 @@ class TestGroupedChart:
         svg = render_grouped_chart(ds, "q1", ("a", "b", "c", "d", "e"), ("g1", "g2"))
         assert len(re.findall(r"<rect ", svg)) == 10
         assert svg == render_grouped_chart(ds, "q1", ("a", "b", "c", "d", "e"), ("g1", "g2"))
+
+    def test_two_categories_render(self):
+        # the diverging chart's three-category minimum does not apply here
+        ds = dataset_from({"g1": [1, 2, 2], "g2": [1]}, k=2)
+        svg = render_grouped_chart(ds, "q1", ("yes", "no"), ("g1", "g2"))
+        assert len(re.findall(r"<rect ", svg)) == 4
+
+
+def diverging(ds, labels, groups):
+    return render_diverging_chart(ds, ChartSpec("q1", labels, 1, groups))
+
+
+def grouped(ds, labels, groups):
+    return render_grouped_chart(ds, "q1", labels, groups)
+
+
+@pytest.mark.parametrize("render", [diverging, grouped])
+class TestSharedChecks:
+    def test_category_count_must_match_dataset(self, render):
+        ds = dataset_from({"g": [1, 2, 3]}, k=5)
+        with pytest.raises(InputError, match="^chart declares 3 categories but the dataset uses 5$"):
+            render(ds, ("a", "b", "c"), ("g",))
+
+    def test_needs_a_group(self, render):
+        ds = dataset_from({"g": [1, 2, 3]})
+        with pytest.raises(InputError, match="^chart needs at least one group$"):
+            render(ds, ("a", "b", "c", "d", "e"), ())
+
+    def test_group_without_responses_rejected(self, render):
+        ds = dataset_from({"g": [1, 2, 3]})
+        with pytest.raises(InputError, match="^group 'missing' has no responses for question 'q1'$"):
+            render(ds, ("a", "b", "c", "d", "e"), ("g", "missing"))

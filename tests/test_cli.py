@@ -314,6 +314,37 @@ class TestCompare:
         assert "categorical" in err
 
 
+class TestUnreadableInput:
+    def test_latin1_survey_csv(self, capsys, tmp_path):
+        # past the first decoded chunk, so the bad byte turns up while rows stream
+        lines = ["respondent_id,group,question,response"] + [f"r{i},teachers,q1,1" for i in range(1000)]
+        path = tmp_path / "survey.csv"
+        path.write_bytes(("\n".join(lines) + "\nx,caf\xe9,q1,2\n").encode("latin-1"))
+        code, _, err = run(capsys, "compare", "--data", str(path), "--question", "q1", "--groups", "a,b")
+        assert code == 2
+        assert f"cannot read survey file {path}:" in err
+
+    def test_latin1_mixture_json(self, capsys, tmp_path):
+        path = tmp_path / "mixture.json"
+        path.write_bytes(json.dumps({**OVERLAP_MIXTURE, "note": "caf\xe9"}, ensure_ascii=False).encode("latin-1"))
+        code, _, err = run(capsys, "classify-demo", "--mixture", str(path), "--classifier", "bayes")
+        assert code == 2
+        assert f"cannot read mixture file {path}:" in err
+
+    @pytest.mark.parametrize(
+        "argv, what",
+        [
+            (["compare", "--data", "{dir}", "--question", "q1", "--groups", "a,b"], "survey"),
+            (["classify-demo", "--mixture", "{dir}", "--classifier", "bayes"], "mixture"),
+            (["solve-game", "--game", "{dir}"], "game"),
+        ],
+    )
+    def test_directory_given_as_a_file(self, capsys, tmp_path, argv, what):
+        code, _, err = run(capsys, *(a.format(dir=tmp_path) for a in argv))
+        assert code == 2
+        assert f"cannot read {what} file {tmp_path}:" in err
+
+
 class TestReport:
     def test_writes_files(self, capsys, survey_file, tmp_path):
         out_dir = tmp_path / "report"

@@ -66,9 +66,15 @@ class TestBuilders:
         with pytest.raises(InputError):
             HarmScenario(0.0, 1.0, 0.0, 1.0)
 
-    def test_zero_sum_flag_must_be_consistent(self):
-        with pytest.raises(InputError):
-            NormalFormGame([[1.0]], [[1.0]], zero_sum=True)
+    def test_zero_sum_is_read_off_the_payoffs(self):
+        a = np.array([[3.0, 0.0], [1.0, 2.0]])
+        assert not NormalFormGame([[1.0]], [[1.0]]).zero_sum
+        game = NormalFormGame(a, -a)  # built without zero_sum_game
+        assert game.zero_sum
+        assert solve_zero_sum(game).value == pytest.approx(1.5, abs=1e-15)
+        played = fictitious_play(game, 2000)
+        assert played.value_estimate == pytest.approx(1.5, abs=0.05)
+        assert is_nash(game, played.profile, 0.05)
 
 
 class TestMixedStrategy:
