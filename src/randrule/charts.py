@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InputError
 from .survey import SurveyDataset
 
@@ -104,13 +102,8 @@ def _fractions(dataset: SurveyDataset, question: str, groups: tuple[str, ...], k
         )
     if not groups:
         raise InputError("chart needs at least one group")
-    fracs = []
-    for group in groups:
-        responses = dataset.responses(question, group)
-        if not responses:
-            raise InputError(f"group {group!r} has no responses for question {question!r}")
-        fracs.append((np.bincount(responses, minlength=k + 1)[1:] / len(responses)).tolist())
-    return fracs
+    samples = [dataset.sample(question, group) for group in groups]
+    return [(s.counts / s.n).tolist() for s in samples]
 
 
 def _text(x: float, y: float, content: str, anchor: str = "start", size: int = 12) -> str:

@@ -354,7 +354,9 @@ def game_from_dict(obj: dict) -> NormalFormGame:
     if "row_payoff" not in obj:
         raise InputError("game document needs a row_payoff matrix")
     row = np.asarray(obj["row_payoff"], dtype=float)
-    if obj.get("zero_sum"):
+    if not isinstance(zero_sum := obj.get("zero_sum", False), bool):
+        raise InputError(f"game document's zero_sum must be true or false, got {zero_sum!r}")
+    if zero_sum:
         if "col_payoff" in obj and not np.array_equal(
             np.asarray(obj["col_payoff"], dtype=float), -row
         ):

@@ -1,17 +1,17 @@
 """Rank statistics for ordinal samples: Mann-Whitney U and summaries.
 
-Conventions, fixed once for the whole package: the U statistic is computed
-from midranks (equivalent to counting cross-pairs with half credit for
-ties), the normal approximation uses the tie-corrected variance and a 0.5
-continuity correction, and p-values are two-sided. ``brute_force_u`` is the
-definitional pair-counting oracle and must agree with the rank formulation
+Conventions, fixed once for the whole package: every statistic reads the
+samples' histograms, U counts cross-pairs with half credit for ties, the
+normal approximation uses the tie-corrected variance and a 0.5 continuity
+correction, and p-values are two-sided. ``brute_force_u`` is the
+definitional pair-counting oracle and must agree with the histogram count
 exactly.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence, Union
 
 import numpy as np
@@ -32,26 +32,35 @@ SampleLike = Union["OrdinalSample", Sequence[float], np.ndarray]
 
 @dataclass(frozen=True, eq=False)
 class OrdinalSample:
-    """Ordered responses; optionally validated against 1..k category codes."""
+    """Ordered responses; optionally validated against 1..k category codes.
+
+    The histogram is ``levels``, the sorted distinct values (every code 1..k
+    for a coded sample), and ``counts``, how often each occurs.
+    """
 
     values: np.ndarray
     category_count: int | None = None
+    levels: np.ndarray = field(init=False, repr=False)
+    counts: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=float)
+        v = np.array(self.values, dtype=float)
         if v.ndim != 1 or v.size == 0:
             raise InputError("a sample must be a non-empty 1-D sequence")
         if not np.all(np.isfinite(v)):
             raise InputError("sample values must be finite")
         k = self.category_count
-        if k is not None:
+        if k is None:
+            levels, counts = np.unique(v, return_counts=True)
+        else:
             if k < 1:
                 raise InputError(f"category count must be >= 1, got {k}")
             if np.any(v != np.round(v)) or v.min() < 1 or v.max() > k:
                 raise InputError(f"category codes must be integers in 1..{k}")
-        v = v.copy()
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
+            levels, counts = np.arange(1.0, k + 1), np.bincount(v.astype(np.intp), minlength=k + 1)[1:]
+        for name, array in (("values", v), ("levels", levels), ("counts", counts)):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
     @property
     def n(self) -> int:
@@ -59,7 +68,7 @@ class OrdinalSample:
 
 
 def _as_sample(x: SampleLike) -> OrdinalSample:
-    return x if isinstance(x, OrdinalSample) else OrdinalSample(np.asarray(x, dtype=float))
+    return x if isinstance(x, OrdinalSample) else OrdinalSample(x)
 
 
 @dataclass(frozen=True)
@@ -82,26 +91,32 @@ class MwuResult:
     m: int
 
 
-def _midranks(pooled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """1-based ranks with tied values sharing the mean of their rank block.
-
-    Also returns the size of each block of equal values, in sorted order.
-    """
-    _, inverse, sizes = np.unique(pooled, return_inverse=True, return_counts=True)
-    ends = np.cumsum(sizes)
-    return ((2 * ends - sizes + 1) / 2.0)[inverse], sizes
+def _aligned_counts(xs: OrdinalSample, ys: OrdinalSample) -> tuple[np.ndarray, np.ndarray]:
+    """Both samples' counts on the sorted union of their levels."""
+    if xs.category_count is not None and xs.category_count == ys.category_count:
+        return xs.counts, ys.counts
+    pooled = np.concatenate([xs.levels, ys.levels])
+    order = np.argsort(pooled, kind="stable")  # two sorted runs, so one merge
+    merged = pooled[order]
+    place = np.empty_like(order)  # each level's index in the union
+    place[order] = np.cumsum(np.concatenate([[0], merged[1:] != merged[:-1]]))
+    cx, cy = np.zeros((2, place.max() + 1), dtype=np.int64)
+    cx[place[: xs.levels.size]] = xs.counts
+    cy[place[xs.levels.size :]] = ys.counts
+    return cx, cy
 
 
 def mann_whitney_u(x: SampleLike, y: SampleLike) -> MwuResult:
     """Two-sided Mann-Whitney U test via the normal approximation."""
-    xs = _as_sample(x)
-    ys = _as_sample(y)
+    xs, ys = _as_sample(x), _as_sample(y)
     n, m = xs.n, ys.n
-    pooled = np.concatenate([xs.values, ys.values])
-    ranks, tie_sizes = _midranks(pooled)
-    u_x = float(ranks[:n].sum() - n * (n + 1) / 2.0)
+    cx, cy = _aligned_counts(xs, ys)
+    # each x beats the y values below its level and ties, for half, those at it;
+    # U sums half-integers and the tie term integers, both exact below 2**53
+    u_x = float((cx * (np.cumsum(cy) - cy / 2.0)).sum())
     u_y = float(n * m - u_x)
 
+    tie_sizes = cx + cy
     has_ties = bool(np.any(tie_sizes > 1))
     total = n + m
     tie_term = float((tie_sizes.astype(float) ** 3 - tie_sizes).sum())
@@ -139,20 +154,8 @@ class DescriptiveSummary:
 
 
 def descriptive_summary(sample: SampleLike) -> DescriptiveSummary:
-    """Ordinal-friendly summary: no means, lower-middle median, ties kept.
-
-    When the sample declares a category count, the histogram includes every
-    code 1..k, zeros included.
-    """
+    """Ordinal-friendly summary: no means, lower-middle median, ties kept, and the sample's histogram."""
     s = _as_sample(sample)
-    ordered = np.sort(s.values)
-    median = float(ordered[(s.n - 1) // 2])
-    values, freq = np.unique(s.values, return_counts=True)
-    modes = tuple(float(v) for v, c in zip(values, freq) if c == freq.max())
-    if s.category_count is not None:
-        counts = {float(code): 0 for code in range(1, s.category_count + 1)}
-    else:
-        counts = {}
-    for v, c in zip(values, freq):
-        counts[float(v)] = int(c)
-    return DescriptiveSummary(median, modes, counts)
+    median = float(s.levels[np.searchsorted(np.cumsum(s.counts), (s.n - 1) // 2, side="right")])
+    modes = tuple(s.levels[s.counts == s.counts.max()].tolist())
+    return DescriptiveSummary(median, modes, dict(zip(s.levels.tolist(), s.counts.tolist())))

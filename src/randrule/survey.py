@@ -140,13 +140,11 @@ class SurveyDataset:
         cell = cell[order]
         starts = np.flatnonzero(np.diff(cell, prepend=-1))
         keys = [(columns.questions[c // n_groups], columns.groups[c % n_groups]) for c in cell[starts].tolist()]
-        values = response[present[order]].tolist()
-        bounds = starts.tolist() + [len(values)]
         self.records = records
         self.category_count = category_count
         self._groups = tuple(columns.groups)
         self._questions = tuple(columns.questions)
-        self._index = {key: values[a:b] for key, a, b in zip(keys, bounds, bounds[1:])}
+        self._index = dict(zip(keys, np.split(response[present[order]], starts[1:])))
 
     def groups(self) -> list[str]:
         """Group names in first-appearance order."""
@@ -158,11 +156,11 @@ class SurveyDataset:
 
     def responses(self, question: str, group: str) -> list[int]:
         """Non-missing responses of one group to one question, in record order."""
-        return list(self._index.get((question, group), ()))
+        return self._index.get((question, group), np.empty(0, dtype=np.int64)).tolist()
 
     def sample(self, question: str, group: str) -> OrdinalSample:
-        values = self.responses(question, group)
-        if not values:
+        values = self._index.get((question, group))
+        if values is None:
             raise InputError(f"group {group!r} has no responses for question {question!r}")
         return OrdinalSample(values, category_count=self.category_count)
 
@@ -199,6 +197,8 @@ def load_survey_csv(path: str | Path, category_count: int = 5) -> SurveyDataset:
                     blanks.append(len(fields) // 4)
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read survey file {path}: {exc}") from exc
+    except csv.Error as exc:
+        raise InputError(f"{path}:{reader.line_num}: {exc}") from exc
 
     def line(i: int) -> int:
         return 2 + i + bisect_right(blanks, i)

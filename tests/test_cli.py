@@ -200,6 +200,14 @@ class TestSolveGame:
         assert code == 2
         assert "6x5" in err
 
+    @pytest.mark.parametrize("flag", ['"no"', "1", "null"])
+    def test_non_boolean_zero_sum_is_an_input_error(self, capsys, flag):
+        game = '{"row_payoff": [[1,0],[0,1]], "zero_sum": %s}' % flag
+        code, out, err = run(capsys, "solve-game", "--game", game)
+        assert code == 2
+        assert out == ""
+        assert "zero_sum" in err
+
     def test_bad_harm_spec(self, capsys):
         code, _, err = run(capsys, "solve-game", "--harm", "1,2,3")
         assert code == 2
@@ -323,6 +331,13 @@ class TestUnreadableInput:
         code, _, err = run(capsys, "compare", "--data", str(path), "--question", "q1", "--groups", "a,b")
         assert code == 2
         assert f"cannot read survey file {path}:" in err
+
+    def test_field_past_the_csv_field_limit(self, capsys, tmp_path):
+        path = tmp_path / "survey.csv"
+        path.write_text(f"respondent_id,group,question,response\nr1,a,q1,1\nr2,a,{'q' * 200_000},2\n")
+        code, _, err = run(capsys, "compare", "--data", str(path), "--question", "q1", "--groups", "a,b")
+        assert code == 2
+        assert f"{path}:3: field larger than field limit" in err
 
     def test_latin1_mixture_json(self, capsys, tmp_path):
         path = tmp_path / "mixture.json"

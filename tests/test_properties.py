@@ -23,6 +23,7 @@ from randrule import (
     MixedStrategy,
     Mixture,
     NormalFormGame,
+    OrdinalSample,
     PurePolicy,
     SurveyDataset,
     SurveyRecord,
@@ -31,6 +32,7 @@ from randrule import (
     brute_force_u,
     build_harm_game,
     constant_classifier,
+    descriptive_summary,
     expected_cost_of_classifier,
     expected_cost_of_decision,
     fictitious_play,
@@ -43,6 +45,7 @@ from randrule import (
     solve_zero_sum,
     zero_sum_game,
 )
+from randrule.cli import main
 from randrule.games import MAX_EXACT_ACTIONS
 from randrule.rng import generator
 from randrule.survey import CSV_HEADER
@@ -79,6 +82,78 @@ def test_all_identical_values_are_degenerate(value, n, m):
     r = mann_whitney_u([value] * n, [value] * m)
     assert r.degenerate
     assert r.p_two_sided == 1.0
+
+
+def midrank_mann_whitney_u(x, y):
+    """The ``mann_whitney_u`` before the histogram kernel: midranks of the pooled
+    values from one ``np.unique``. Returns (u_x, u_y, z, p, tie_corrected, degenerate)."""
+    n, m = len(x), len(y)
+    pooled = np.concatenate([x, y])
+    _, inverse, tie_sizes = np.unique(pooled, return_inverse=True, return_counts=True)
+    ends = np.cumsum(tie_sizes)
+    ranks = ((2 * ends - tie_sizes + 1) / 2.0)[inverse]
+    u_x = float(ranks[:n].sum() - n * (n + 1) / 2.0)
+    u_y = float(n * m - u_x)
+    has_ties = bool(np.any(tie_sizes > 1))
+    total = n + m
+    tie_term = float((tie_sizes.astype(float) ** 3 - tie_sizes).sum())
+    variance = n * m / 12.0 * ((total + 1) - tie_term / (total * (total - 1)))
+    if variance <= 0.0:
+        return u_x, u_y, float("nan"), 1.0, has_ties, True
+    delta = u_x - n * m / 2.0
+    z_abs = max(abs(delta) - 0.5, 0.0) / math.sqrt(variance)
+    p = min(1.0, math.erfc(z_abs / math.sqrt(2.0)))
+    return u_x, u_y, math.copysign(z_abs, delta), p, has_ties, False
+
+
+def sorted_summary(values, category_count):
+    """The ``descriptive_summary`` before histograms: (median, modes, counts) from
+    ``np.sort`` and ``np.unique`` of the raw values."""
+    median = float(np.sort(values)[(len(values) - 1) // 2])
+    levels, freq = np.unique(values, return_counts=True)
+    modes = tuple(float(v) for v, c in zip(levels, freq) if c == freq.max())
+    counts = {float(code): 0 for code in range(1, (category_count or 0) + 1)}
+    for v, c in zip(levels, freq):
+        counts[float(v)] = int(c)
+    return median, modes, counts
+
+
+@st.composite
+def sample_pairs(draw):
+    """Two samples: coded with one k, coded against another k or uncoded, tied
+    integers, or continuous floats."""
+    kind = draw(st.sampled_from(["coded", "mixed", "tied", "continuous"]))
+    if kind == "tied":
+        return OrdinalSample(draw(tied_samples)), OrdinalSample(draw(tied_samples))
+    if kind == "continuous":
+        floats = st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=1, max_size=40)
+        return OrdinalSample(draw(floats)), OrdinalSample(draw(floats))
+    k = draw(st.integers(1, 7))
+    x = OrdinalSample(draw(st.lists(st.integers(1, k), min_size=1, max_size=60)), k)
+    if kind == "mixed":
+        k = draw(st.integers(1, 7))
+    y = draw(st.lists(st.integers(1, k), min_size=1, max_size=60))
+    return x, OrdinalSample(y, draw(st.sampled_from([k, None])) if kind == "mixed" else k)
+
+
+@PROPERTY
+@given(sample_pairs())
+def test_histogram_statistics_match_the_rank_and_sort_oracles(pair):
+    x, y = pair
+    r = mann_whitney_u(x, y)
+    expected = midrank_mann_whitney_u(x.values, y.values)
+    assert [v.hex() for v in (r.u_x, r.u_y, r.z, r.p_two_sided)] == [v.hex() for v in expected[:4]]
+    assert (r.tie_corrected, r.degenerate) == expected[4:]
+    assert (r.u_x, r.u_y) == brute_force_u(x, y)
+    for s in (x, y):
+        summary = descriptive_summary(s)
+        assert (summary.median, summary.modes, summary.counts) == sorted_summary(s.values, s.category_count)
+    if not r.degenerate:
+        scipy_stats = pytest.importorskip("scipy.stats")
+        ref = scipy_stats.mannwhitneyu(
+            x.values, y.values, alternative="two-sided", method="asymptotic", use_continuity=True
+        )
+        assert abs(r.p_two_sided - ref.pvalue) <= 1e-12
 
 
 records = st.lists(
@@ -224,6 +299,27 @@ def test_columnar_loader_matches_the_row_by_row_loader(survey):
     for question in index:
         for group in groups + ["g9"]:
             assert ds.responses(question, group) == index[question].get(group, [])
+
+
+# a question field one character past the csv module's default field limit
+LONG_FIELD = f"{','.join(CSV_HEADER)}\nr1,g1,q1,1\nr2,g2,{'q' * 131_073},2\n"
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(
+    st.one_of(
+        st.binary(max_size=200),
+        st.text(max_size=200).map(str.encode),
+        st.text(max_size=200).map(lambda t: f"{','.join(CSV_HEADER)}\n{t}".encode()),
+        survey_csv(5).map(str.encode),
+        st.just(LONG_FIELD.encode()),
+    )
+)
+def test_any_survey_file_exits_0_or_2(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "survey.csv"
+        path.write_bytes(data)
+        assert main(["compare", "--data", str(path), "--question", "q1", "--groups", "g1,g2"]) in (0, 2)
 
 
 @st.composite

@@ -1,9 +1,10 @@
 import csv
 import io
 
+import numpy as np
 import pytest
 
-from randrule import InputError, SurveyDataset, SurveyRecord, run_report
+from randrule import InputError, SurveyDataset, SurveyRecord, load_survey_csv, run_report
 
 
 def build_dataset(groups=("g1", "g2"), questions=("q1", "q2", "q3"), n=10, separated=True):
@@ -90,6 +91,23 @@ class TestDeterminism:
         assert b1.comparisons_csv == b2.comparisons_csv
         for name in ("comparisons.csv", "q1.svg", "q2.svg", "q3.svg"):
             assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
+def test_report_reads_histograms_and_sorts_nothing(monkeypatch, tmp_path):
+    path = tmp_path / "survey.csv"
+    rows = [f"{r.respondent_id},{r.group},{r.question},{r.response}\n" for r in build_dataset(("a", "b", "c")).records]
+    path.write_text("respondent_id,group,question,response\n" + "".join(rows))
+    dataset = load_survey_csv(path)
+    expected = run_report(dataset, categorical={"q3"})
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the report path sorted its values")
+
+    monkeypatch.setattr(np, "unique", refuse)
+    monkeypatch.setattr(np, "union1d", refuse)
+    bundle = run_report(dataset, categorical={"q3"}, out_dir=tmp_path / "out")
+    assert bundle.comparisons_csv == expected.comparisons_csv
+    assert [q.chart_svg for q in bundle.questions] == [q.chart_svg for q in expected.questions]
 
 
 class TestValidation:
