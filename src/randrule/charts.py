@@ -103,7 +103,8 @@ def _fractions(dataset: SurveyDataset, question: str, groups: tuple[str, ...], k
     if not groups:
         raise InputError("chart needs at least one group")
     samples = [dataset.sample(question, group) for group in groups]
-    return [(s.counts / s.n).tolist() for s in samples]
+    # a coded histogram stops at its largest code; the chart shows all k
+    return [(s.counts / s.n).tolist() + [0.0] * (k - s.counts.size) for s in samples]
 
 
 def _text(x: float, y: float, content: str, anchor: str = "start", size: int = 12) -> str:

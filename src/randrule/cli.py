@@ -235,16 +235,13 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     dataset = load_survey_csv(args.data, args.categories)
-    questions = _split_list(args.questions) or None
-    groups = _split_list(args.groups) or None
-    labels = tuple(_split_list(args.labels)) or None
     bundle = run_report(
         dataset,
-        questions=questions,
-        groups=groups,
+        questions=_split_list(args.questions) or None,
+        groups=_split_list(args.groups) or None,
         alpha=args.alpha,
         categorical=frozenset(_split_list(args.categorical)),
-        category_labels=labels,
+        category_labels=tuple(_split_list(args.labels)) or None,
         neutral_index=args.neutral_index,
         out_dir=args.out_dir,
     )

@@ -34,8 +34,8 @@ SampleLike = Union["OrdinalSample", Sequence[float], np.ndarray]
 class OrdinalSample:
     """Ordered responses; optionally validated against 1..k category codes.
 
-    The histogram is ``levels``, the sorted distinct values (every code 1..k
-    for a coded sample), and ``counts``, how often each occurs.
+    The histogram is ``levels``, the sorted distinct values (for a coded
+    sample, 1 up to its largest code), and ``counts``, how often each occurs.
     """
 
     values: np.ndarray
@@ -57,7 +57,8 @@ class OrdinalSample:
                 raise InputError(f"category count must be >= 1, got {k}")
             if np.any(v != np.round(v)) or v.min() < 1 or v.max() > k:
                 raise InputError(f"category codes must be integers in 1..{k}")
-            levels, counts = np.arange(1.0, k + 1), np.bincount(v.astype(np.intp), minlength=k + 1)[1:]
+            counts = np.bincount(v.astype(np.intp))[1:]
+            levels = np.arange(1.0, counts.size + 1)
         for name, array in (("values", v), ("levels", levels), ("counts", counts)):
             array.flags.writeable = False
             object.__setattr__(self, name, array)
@@ -91,26 +92,18 @@ class MwuResult:
     m: int
 
 
-def _aligned_counts(xs: OrdinalSample, ys: OrdinalSample) -> tuple[np.ndarray, np.ndarray]:
-    """Both samples' counts on the sorted union of their levels."""
-    if xs.category_count is not None and xs.category_count == ys.category_count:
-        return xs.counts, ys.counts
-    pooled = np.concatenate([xs.levels, ys.levels])
-    order = np.argsort(pooled, kind="stable")  # two sorted runs, so one merge
-    merged = pooled[order]
-    place = np.empty_like(order)  # each level's index in the union
-    place[order] = np.cumsum(np.concatenate([[0], merged[1:] != merged[:-1]]))
-    cx, cy = np.zeros((2, place.max() + 1), dtype=np.int64)
-    cx[place[: xs.levels.size]] = xs.counts
-    cy[place[xs.levels.size :]] = ys.counts
-    return cx, cy
-
-
 def mann_whitney_u(x: SampleLike, y: SampleLike) -> MwuResult:
     """Two-sided Mann-Whitney U test via the normal approximation."""
     xs, ys = _as_sample(x), _as_sample(y)
     n, m = xs.n, ys.n
-    cx, cy = _aligned_counts(xs, ys)
+    # both samples' counts on the sorted union of their levels
+    pooled = np.concatenate([xs.levels, ys.levels])
+    order = np.argsort(pooled, kind="stable")  # two sorted runs, so one merge
+    place = np.empty_like(order)  # each level's index in the union
+    place[order] = np.concatenate([[0], np.cumsum(np.diff(pooled[order]) != 0)])
+    cx, cy = np.zeros((2, place.max() + 1), dtype=np.int64)
+    cx[place[: xs.levels.size]] = xs.counts
+    cy[place[xs.levels.size :]] = ys.counts
     # each x beats the y values below its level and ties, for half, those at it;
     # U sums half-integers and the tie term integers, both exact below 2**53
     u_x = float((cx * (np.cumsum(cy) - cy / 2.0)).sum())
@@ -154,8 +147,14 @@ class DescriptiveSummary:
 
 
 def descriptive_summary(sample: SampleLike) -> DescriptiveSummary:
-    """Ordinal-friendly summary: no means, lower-middle median, ties kept, and the sample's histogram."""
+    """Ordinal-friendly summary: no means, lower-middle median, ties kept.
+
+    The histogram is the sample's; when the sample declares a category count
+    it lists every code 1..k, zeros included.
+    """
     s = _as_sample(sample)
     median = float(s.levels[np.searchsorted(np.cumsum(s.counts), (s.n - 1) // 2, side="right")])
     modes = tuple(s.levels[s.counts == s.counts.max()].tolist())
-    return DescriptiveSummary(median, modes, dict(zip(s.levels.tolist(), s.counts.tolist())))
+    counts = dict.fromkeys(map(float, range(1, (s.category_count or 0) + 1)), 0)
+    counts.update(zip(s.levels.tolist(), s.counts.tolist()))
+    return DescriptiveSummary(median, modes, counts)

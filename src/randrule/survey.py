@@ -176,7 +176,7 @@ def load_survey_csv(path: str | Path, category_count: int = 5) -> SurveyDataset:
         raise InputError(f"survey file not found: {path}")
     fields: list[str] = []
     blanks: list[int] = []  # the number of records read before each blank row
-    bad_width = None
+    header = bad_row = None  # bad_row: why the row after the last record read was refused
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
@@ -191,14 +191,17 @@ def load_survey_csv(path: str | Path, category_count: int = 5) -> SurveyDataset:
                 if len(row) == 4:
                     extend(row)
                 elif row:
-                    bad_width = len(row)
+                    bad_row = f"expected 4 fields, got {len(row)}"
                     break
                 else:
                     blanks.append(len(fields) // 4)
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read survey file {path}: {exc}") from exc
     except csv.Error as exc:
-        raise InputError(f"{path}:{reader.line_num}: {exc}") from exc
+        if header is None:
+            raise InputError(f"{path}:1: {exc}") from exc
+        # like a row of the wrong width: a bad response on an earlier row wins
+        bad_row = str(exc)
 
     def line(i: int) -> int:
         return 2 + i + bisect_right(blanks, i)
@@ -219,8 +222,8 @@ def load_survey_csv(path: str | Path, category_count: int = 5) -> SurveyDataset:
                 if not 1 <= code <= category_count:
                     raise InputError(f"{path}:{line(i)}: response {code} outside 1..{category_count}")
                 codes[i] = code
-    if bad_width is not None:
-        raise InputError(f"{path}:{line(len(codes))}: expected 4 fields, got {bad_width}")
+    if bad_row is not None:
+        raise InputError(f"{path}:{line(len(codes))}: {bad_row}")
     if not codes:
         raise InputError(f"{path}: no records")
     # the string columns live only until they are encoded

@@ -309,6 +309,12 @@ class TestCompare:
         )
         assert code == 2
 
+    def test_a_huge_category_count_costs_what_the_data_costs(self, capsys, survey_file):
+        argv = ["compare", "--data", survey_file, "--question", "q1", "--groups", "teachers,academics"]
+        code, out, _ = run(capsys, *argv, "--categories", "1000000000")
+        assert code == 0
+        assert out == run(capsys, *argv, "--categories", "5")[1]
+
     def test_categorical_question_is_refused(self, capsys, survey_file):
         code, _, err = run(
             capsys,
@@ -338,6 +344,20 @@ class TestUnreadableInput:
         code, _, err = run(capsys, "compare", "--data", str(path), "--question", "q1", "--groups", "a,b")
         assert code == 2
         assert f"{path}:3: field larger than field limit" in err
+
+    def test_a_bad_response_before_an_overlong_field_is_reported_first(self, capsys, tmp_path):
+        path = tmp_path / "survey.csv"
+        path.write_text(f"respondent_id,group,question,response\nr1,a,q1,abc\n\nr2,a,{'q' * 200_000},2\n")
+        code, _, err = run(capsys, "compare", "--data", str(path), "--question", "q1", "--groups", "a,b")
+        assert code == 2
+        assert f"{path}:2: response 'abc' is not an integer" in err
+
+    def test_overlong_field_in_the_header(self, capsys, tmp_path):
+        path = tmp_path / "survey.csv"
+        path.write_text(f"respondent_id,group,question,{'r' * 200_000}\nr1,a,q1,1\n")
+        code, _, err = run(capsys, "compare", "--data", str(path), "--question", "q1", "--groups", "a,b")
+        assert code == 2
+        assert f"{path}:1: field larger than field limit" in err
 
     def test_latin1_mixture_json(self, capsys, tmp_path):
         path = tmp_path / "mixture.json"

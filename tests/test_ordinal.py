@@ -125,6 +125,11 @@ class TestOrdinalSample:
         with pytest.raises(InputError):
             OrdinalSample(np.array([]))
 
+    def test_the_histogram_stops_at_the_largest_code(self):
+        s = OrdinalSample(np.array([1, 3, 3]), category_count=10**12)
+        assert s.levels.tolist() == [1.0, 2.0, 3.0]
+        assert s.counts.tolist() == [1, 0, 2]
+
 
 class TestDescriptiveSummary:
     def test_simple_case(self):

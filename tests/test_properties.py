@@ -311,15 +311,17 @@ LONG_FIELD = f"{','.join(CSV_HEADER)}\nr1,g1,q1,1\nr2,g2,{'q' * 131_073},2\n"
         st.binary(max_size=200),
         st.text(max_size=200).map(str.encode),
         st.text(max_size=200).map(lambda t: f"{','.join(CSV_HEADER)}\n{t}".encode()),
-        survey_csv(5).map(str.encode),
+        st.sampled_from([2, 5, 300]).flatmap(survey_csv).map(str.encode),
         st.just(LONG_FIELD.encode()),
-    )
+    ),
+    st.sampled_from(["2", "5", "300", "1000000000"]),
 )
-def test_any_survey_file_exits_0_or_2(data):
+def test_any_survey_file_exits_0_or_2(data, categories):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "survey.csv"
         path.write_bytes(data)
-        assert main(["compare", "--data", str(path), "--question", "q1", "--groups", "g1,g2"]) in (0, 2)
+        argv = ["compare", "--data", str(path), "--question", "q1", "--groups", "g1,g2", "--categories", categories]
+        assert main(argv) in (0, 2)
 
 
 @st.composite
