@@ -17,13 +17,7 @@ The library covers four connected pieces:
 Everything stochastic takes an explicit 64-bit seed and reproduces bit-for-bit.
 """
 
-from .charts import (
-    ChartSpec,
-    DEFAULT_LIKERT_LABELS,
-    diverging_palette,
-    render_diverging_chart,
-    render_grouped_chart,
-)
+from .charts import DEFAULT_LIKERT_LABELS, diverging_palette, render_diverging_chart, render_grouped_chart
 from .decisions import (
     Classifier,
     CostEstimate,

@@ -1,11 +1,13 @@
 """Deterministic SVG charts for survey responses.
 
-Diverging stacked bars: one horizontal percentage bar per group, aligned on
-a shared vertical axis through the midpoint of the neutral category, so
-disagreement mass extends left and agreement mass extends right. Output is
-plain SVG text built from the inputs alone; rendering twice gives identical
-bytes. The only ``<rect>`` elements are the category segments (zero-width
-for empty categories), one per group and category.
+Both renderers draw a count matrix: ``counts[g][c]`` is group ``g``'s count
+of code ``c + 1``, for every code 1..k. Diverging stacked bars: one
+horizontal percentage bar per group, aligned on a shared vertical axis
+through the midpoint of the neutral category, so disagreement mass extends
+left and agreement mass extends right. Output is plain SVG text built from
+the inputs alone; rendering twice gives identical bytes. The only ``<rect>``
+elements are the category segments (zero-width for empty categories), one
+per group and category.
 
 Questions whose answer options have no order get a plain grouped bar chart
 instead. Both charts share one frame: a fixed width, the title, one legend
@@ -14,13 +16,13 @@ row and the closing tag.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
+
+import numpy as np
 
 from .errors import InputError
-from .survey import SurveyDataset
 
 __all__ = [
-    "ChartSpec",
     "DEFAULT_LIKERT_LABELS",
     "diverging_palette",
     "render_diverging_chart",
@@ -69,42 +71,28 @@ def diverging_palette(k: int, neutral_index: int) -> tuple[str, ...]:
     return tuple(colors)
 
 
-@dataclass(frozen=True)
-class ChartSpec:
-    """Layout contract for one question's diverging chart."""
-
-    question: str
-    category_labels: tuple[str, ...]
-    neutral_index: int
-    groups: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        k = len(self.category_labels)
-        if k < 3:
-            raise InputError(f"diverging charts need >= 3 categories, got {k}")
-        if not 0 <= self.neutral_index < k:
-            raise InputError(f"neutral index {self.neutral_index} out of range for {k} categories")
-
-    @property
-    def category_count(self) -> int:
-        return len(self.category_labels)
-
-
 def _esc(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def _fractions(dataset: SurveyDataset, question: str, groups: tuple[str, ...], k: int) -> list[list[float]]:
-    """Each group's share of every category, in group order, once the inputs pass the checks of both charts."""
-    if k != dataset.category_count:
-        raise InputError(
-            f"chart declares {k} categories but the dataset uses {dataset.category_count}"
-        )
+Counts = Sequence[Sequence[float]]
+
+
+def _fractions(question: str, groups: tuple[str, ...], counts: Counts, k: int) -> list[list[float]]:
+    """Each group's share of every code, in group order, once the counts pass the checks of both charts."""
     if not groups:
         raise InputError("chart needs at least one group")
-    samples = [dataset.sample(question, group) for group in groups]
-    # a coded histogram stops at its largest code; the chart shows all k
-    return [(s.counts / s.n).tolist() + [0.0] * (k - s.counts.size) for s in samples]
+    if len(counts) != len(groups):
+        raise InputError(f"chart has {len(groups)} groups but {len(counts)} count rows")
+    fracs = []
+    for g, row in zip(groups, counts):
+        row = np.asarray(row, dtype=float)
+        if row.shape != (k,) or not np.all(row >= 0):
+            raise InputError(f"group {g!r} needs {k} non-negative counts for question {question!r}")
+        if not row.any():
+            raise InputError(f"group {g!r} has no responses for question {question!r}")
+        fracs.append((row / row.sum()).tolist())
+    return fracs
 
 
 def _text(x: float, y: float, content: str, anchor: str = "start", size: int = 12) -> str:
@@ -131,17 +119,24 @@ def _svg(height: int, title: str, body: list[str], legend_y: float, legend: list
     return "\n".join(parts) + "\n"
 
 
-def render_diverging_chart(dataset: SurveyDataset, spec: ChartSpec) -> str:
+def render_diverging_chart(
+    question: str, groups: tuple[str, ...], counts: Counts, category_labels: tuple[str, ...], neutral_index: int
+) -> str:
     """Render one question as diverging stacked percentage bars; returns SVG text."""
-    fracs = _fractions(dataset, spec.question, spec.groups, spec.category_count)
-    lefts = [sum(f[: spec.neutral_index]) + f[spec.neutral_index] / 2.0 for f in fracs]
+    k = len(category_labels)
+    if k < 3:
+        raise InputError(f"diverging charts need >= 3 categories, got {k}")
+    if not 0 <= neutral_index < k:
+        raise InputError(f"neutral index {neutral_index} out of range for {k} categories")
+    fracs = _fractions(question, groups, counts, k)
+    lefts = [sum(f[:neutral_index]) + f[neutral_index] / 2.0 for f in fracs]
     scale = PLOT_WIDTH / (max(lefts) + max(1.0 - left for left in lefts))
     axis_x = LEFT_MARGIN + max(lefts) * scale
-    colors = diverging_palette(spec.category_count, spec.neutral_index)
+    colors = diverging_palette(k, neutral_index)
 
     body = []
     y = TOP_MARGIN
-    for g, f, left in zip(spec.groups, fracs, lefts):
+    for g, f, left in zip(groups, fracs, lefts):
         body.append(_text(LEFT_MARGIN - 8, y + ROW_HEIGHT / 2.0 + 4, g, anchor="end"))
         x = axis_x - left * scale
         for frac, color in zip(f, colors):
@@ -161,19 +156,14 @@ def render_diverging_chart(dataset: SurveyDataset, spec: ChartSpec) -> str:
         f'stroke="#333333" stroke-width="1"/>'
     )
     legend = [(f'fill="{c}" stroke="#555555" stroke-width="0.5"', label)
-              for c, label in zip(colors, spec.category_labels)]
-    return _svg(y + LEGEND_HEIGHT, spec.question, body, y + 14, legend)
+              for c, label in zip(colors, category_labels)]
+    return _svg(y + LEGEND_HEIGHT, question, body, y + 14, legend)
 
 
-def render_grouped_chart(
-    dataset: SurveyDataset,
-    question: str,
-    category_labels: tuple[str, ...],
-    groups: tuple[str, ...],
-) -> str:
+def render_grouped_chart(question: str, groups: tuple[str, ...], counts: Counts, category_labels: tuple[str, ...]) -> str:
     """Plain grouped percentage bars for questions without an ordered scale."""
     k = len(category_labels)
-    fracs = _fractions(dataset, question, groups, k)
+    fracs = _fractions(question, groups, counts, k)
     colors = diverging_palette(k, k // 2)
     opacities = [f"{0.55 + 0.45 * (gi + 1) / len(groups):.3f}" for gi in range(len(groups))]
     plot_h = 180

@@ -72,10 +72,11 @@ def _load_cost(source: str, label_count: int) -> CostMatrix:
     if source == "zero-one":
         return CostMatrix.zero_one(label_count)
     values = read_json_source(source, "cost")
-    cost = CostMatrix(np.asarray(values, dtype=float))
-    if cost.label_count != label_count:
-        raise InputError(f"cost matrix is {cost.label_count}x{cost.label_count}, need {label_count}")
-    return cost
+    try:
+        values = np.asarray(values, dtype=float)
+    except (OverflowError, TypeError, ValueError) as exc:
+        raise InputError(f"cost document is not a numeric matrix: {exc}") from exc
+    return CostMatrix(values)
 
 
 def _overlap_geometry(mixture: Mixture) -> tuple[float, float] | None:
@@ -265,28 +266,28 @@ def _seed(text: str) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--seed", type=_seed, default=0, help="64-bit seed for anything stochastic")
-    shared.add_argument("--out-dir", default=".", help="directory for generated files")
     shared.add_argument("--format", choices=["table", "csv"], default="table", help="stdout format")
+    seeded = argparse.ArgumentParser(add_help=False, parents=[shared])
+    seeded.add_argument("--seed", type=_seed, default=0, help="64-bit seed for anything stochastic")
 
     parser = argparse.ArgumentParser(prog="randrule", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("classify-demo", parents=[shared], help="Monte Carlo cost of a classifier on a known mixture")
+    p = sub.add_parser("classify-demo", parents=[seeded], help="Monte Carlo cost of a classifier on a known mixture")
     p.add_argument("--mixture", required=True, help="mixture JSON (path or inline)")
     p.add_argument("--cost", default="zero-one", help="'zero-one' or a cost matrix JSON (path or inline)")
     p.add_argument("--classifier", required=True, help="bayes|md|mr|constant:LABEL")
     p.add_argument("--n", type=int, default=100_000, help="number of sampled cases")
     p.set_defaults(func=_cmd_classify_demo)
 
-    p = sub.add_parser("solve-game", parents=[shared], help="equilibrium of a zero-sum game")
+    p = sub.add_parser("solve-game", parents=[seeded], help="equilibrium of a zero-sum game")
     p.add_argument("--game", help="mp|rps|game JSON (path or inline)")
     p.add_argument("--harm", help="harm scenario mX,vX,mY,vY (overrides --game)")
     p.add_argument("--method", choices=["exact", "fp"], default="exact")
     p.add_argument("--iters", type=int, default=100_000, help="fictitious-play iterations")
     p.set_defaults(func=_cmd_solve_game)
 
-    p = sub.add_parser("simulate-repeated", parents=[shared], help="repeated play between two policies")
+    p = sub.add_parser("simulate-repeated", parents=[seeded], help="repeated play between two policies")
     p.add_argument("--game", help="mp|rps|game JSON (path or inline)")
     p.add_argument("--harm", help="harm scenario mX,vX,mY,vY (overrides --game)")
     p.add_argument("--row", required=True, help="pure:i|mixed:p1,p2,...|exploiter")
@@ -318,6 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--categorical", help="question ids charted as grouped bars, no rank test")
     p.add_argument("--labels", help="comma-separated category labels")
     p.add_argument("--neutral-index", type=int, default=None, help="0-based neutral category index")
+    p.add_argument("--out-dir", default=".", help="directory for the CSV and SVG files")
     p.set_defaults(func=_cmd_report)
     return parser
 

@@ -253,7 +253,8 @@ def nearest_mean_classifier(mixture: Mixture) -> DeterministicClassifier:
     mean_arr = np.stack(means)
 
     def rule(X: np.ndarray) -> np.ndarray:
-        d2 = ((X[:, None, :] - mean_arr[None, :, :]) ** 2).sum(axis=2)
+        # class by class, so the largest temporary is (n, d), not (n, k, d)
+        d2 = np.stack([((X - mu) ** 2).sum(axis=1) for mu in mean_arr], axis=1)
         return np.argmin(d2, axis=1)
 
     return DeterministicClassifier(mixture.label_count, rule, name="nearest-mean")

@@ -49,8 +49,8 @@ MAX_EXACT_ACTIONS = 10  # rows plus columns; an m x n game has C(m + n, m) - 1 <
 
 def _payoff_array(values, side: str) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
-    if arr.ndim != 2 or not np.all(np.isfinite(arr)):
-        raise InputError(f"{side} payoff must be a finite 2-D matrix")
+    if arr.ndim != 2 or arr.size == 0 or not np.all(np.isfinite(arr)):
+        raise InputError(f"{side} payoff must be a non-empty finite 2-D matrix")
     arr = arr.copy()
     arr.flags.writeable = False
     return arr
@@ -345,26 +345,31 @@ def game_value(game: NormalFormGame) -> float:
     return solve_zero_sum(game).value
 
 
+def _document_matrix(obj: dict, key: str) -> np.ndarray:
+    try:
+        return np.asarray(obj[key], dtype=float)
+    except (OverflowError, TypeError, ValueError) as exc:
+        raise InputError(f"game document's {key} is not a numeric matrix: {exc}") from exc
+
+
 def game_from_dict(obj: dict) -> NormalFormGame:
     """Build a game from its JSON form.
 
     Either ``{"row_payoff": [[...]], "col_payoff": [[...]]}`` or
     ``{"row_payoff": [[...]], "zero_sum": true}``.
     """
-    if "row_payoff" not in obj:
-        raise InputError("game document needs a row_payoff matrix")
-    row = np.asarray(obj["row_payoff"], dtype=float)
+    if not isinstance(obj, dict) or "row_payoff" not in obj:
+        raise InputError("game document must be a JSON object with a row_payoff matrix")
+    row = _document_matrix(obj, "row_payoff")
     if not isinstance(zero_sum := obj.get("zero_sum", False), bool):
         raise InputError(f"game document's zero_sum must be true or false, got {zero_sum!r}")
     if zero_sum:
-        if "col_payoff" in obj and not np.array_equal(
-            np.asarray(obj["col_payoff"], dtype=float), -row
-        ):
+        if "col_payoff" in obj and not np.array_equal(_document_matrix(obj, "col_payoff"), -row):
             raise InputError("document declares zero_sum but col_payoff != -row_payoff")
         return zero_sum_game(row)
     if "col_payoff" not in obj:
         raise InputError("game document needs col_payoff or zero_sum: true")
-    return NormalFormGame(row, np.asarray(obj["col_payoff"], dtype=float))
+    return NormalFormGame(row, _document_matrix(obj, "col_payoff"))
 
 
 def load_game(source: str | Path) -> NormalFormGame:

@@ -23,5 +23,6 @@ def read_json_source(source, what: str):
             raise InputError(f"cannot read {what} file {path}: {exc}") from exc
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    # ValueError also covers integers past the digit limit, RecursionError deep nesting
+    except (RecursionError, ValueError) as exc:
         raise InputError(f"invalid {what} JSON: {exc}") from exc

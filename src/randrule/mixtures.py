@@ -294,19 +294,21 @@ def mixture_from_dict(obj: dict) -> Mixture:
     with density ``{"kind": "uniform", "lo": ..., "hi": ...}`` or
     ``{"kind": "gaussian", "mean": [...], "lambda": ...}``.
     """
+    if not isinstance(obj, dict):
+        raise InputError(f"mixture document must be a JSON object, got {type(obj).__name__}")
     try:
         comps = [
             ClassComponent(float(c["prior"]), _density_from_dict(c["density"]))
             for c in obj["components"]
         ]
-    except (KeyError, TypeError) as exc:
+    except InputError:
+        raise
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise InputError(f"malformed mixture document: {exc}") from exc
     mixture = Mixture(comps)
     declared = obj.get("dimension")
-    if declared is not None and int(declared) != mixture.dimension:
-        raise InputError(
-            f"declared dimension {declared} != component dimension {mixture.dimension}"
-        )
+    if declared is not None and declared != mixture.dimension:
+        raise InputError(f"declared dimension {declared!r} != component dimension {mixture.dimension}")
     return mixture
 
 

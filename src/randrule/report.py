@@ -15,10 +15,10 @@ from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
 
-from .charts import ChartSpec, DEFAULT_LIKERT_LABELS, render_diverging_chart, render_grouped_chart
+from .charts import DEFAULT_LIKERT_LABELS, render_diverging_chart, render_grouped_chart
 from .errors import InputError
 from .ordinal import DescriptiveSummary, descriptive_summary
-from .survey import GroupComparison, SurveyDataset, compare_groups
+from .survey import GroupComparison, SurveyDataset, check_request, compare_groups
 
 __all__ = ["QuestionReport", "ReportBundle", "run_report", "comparison_row", "LOW_N_THRESHOLD", "CSV_HEADER"]
 
@@ -50,12 +50,6 @@ class ReportBundle:
     written_files: tuple[str, ...]
 
 
-def _default_labels(k: int) -> tuple[str, ...]:
-    if k == len(DEFAULT_LIKERT_LABELS):
-        return DEFAULT_LIKERT_LABELS
-    return tuple(str(code) for code in range(1, k + 1))
-
-
 def _safe_name(question: str) -> str:
     return "".join(ch if ch.isalnum() or ch in "-_" else "_" for ch in question)
 
@@ -72,16 +66,21 @@ def run_report(
 ) -> ReportBundle:
     """Build the report bundle; optionally write CSV and SVG files to ``out_dir``.
 
-    Questions in ``categorical`` are charted as grouped bars and excluded
-    from rank testing. Every other question gets a diverging chart plus all
-    pairwise group comparisons at level ``alpha``.
+    ``alpha``, the questions and the groups are checked up front, with the
+    messages of :func:`compare_groups`. Questions in ``categorical`` are
+    charted as grouped bars and excluded from rank testing. Every other
+    question gets a diverging chart plus all pairwise group comparisons at
+    level ``alpha``. Each (question, group) sample is built once and feeds
+    the low-n notes, the summaries and the chart.
     """
     questions = list(questions) if questions is not None else dataset.questions()
-    groups = list(groups) if groups is not None else dataset.groups()
+    groups = tuple(groups if groups is not None else dataset.groups())
     if len(groups) < 1:
         raise InputError("report needs at least one group")
+    check_request(dataset, questions, groups, alpha)
     k = dataset.category_count
-    labels = category_labels if category_labels is not None else _default_labels(k)
+    default = DEFAULT_LIKERT_LABELS if k == len(DEFAULT_LIKERT_LABELS) else tuple(map(str, range(1, k + 1)))
+    labels = tuple(category_labels) if category_labels is not None else default
     if len(labels) != k:
         raise InputError(f"got {len(labels)} category labels for {k} categories")
     neutral = neutral_index if neutral_index is not None else (k - 1) // 2
@@ -91,25 +90,22 @@ def run_report(
     writer = csv.writer(csv_buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)
     for question in questions:
-        notes: list[str] = []
-        for g in groups:
-            n = len(dataset.responses(question, g))
-            if n < LOW_N_THRESHOLD:
-                notes.append(f"low-n: group {g!r} has {n} response(s) for {question!r}")
+        samples = [dataset.sample(question, g) for g in groups]
+        notes = [f"low-n: group {g!r} has {s.n} response(s) for {question!r}"
+                 for g, s in zip(groups, samples) if s.n < LOW_N_THRESHOLD]
+        # a coded histogram stops at its largest code; the chart shows all k
+        counts = [s.counts.tolist() + [0] * (k - s.counts.size) for s in samples]
         if question in categorical:
-            chart = render_grouped_chart(dataset, question, tuple(labels), tuple(groups))
+            chart = render_grouped_chart(question, groups, counts, labels)
             notes.append("categorical options: rank comparison and ordinal summaries omitted")
             reports.append(QuestionReport(question, {}, (), chart, tuple(notes)))
             continue
-        summaries = {g: descriptive_summary(dataset.sample(question, g)) for g in groups}
-        comparisons = []
-        for ga, gb in combinations(groups, 2):
-            comp = compare_groups(dataset, question, ga, gb, alpha, categorical)
-            comparisons.append(comp)
-            writer.writerow(comparison_row(comp))
-        spec = ChartSpec(question, tuple(labels), neutral, tuple(groups))
-        chart = render_diverging_chart(dataset, spec)
-        reports.append(QuestionReport(question, summaries, tuple(comparisons), chart, tuple(notes)))
+        summaries = {g: descriptive_summary(s) for g, s in zip(groups, samples)}
+        pairs = combinations(groups, 2)
+        comparisons = tuple(compare_groups(dataset, question, ga, gb, alpha, categorical) for ga, gb in pairs)
+        writer.writerows(map(comparison_row, comparisons))
+        chart = render_diverging_chart(question, groups, counts, labels, neutral)
+        reports.append(QuestionReport(question, summaries, comparisons, chart, tuple(notes)))
 
     csv_text = csv_buf.getvalue()
     written: list[str] = []

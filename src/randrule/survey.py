@@ -24,6 +24,7 @@ __all__ = [
     "SurveyDataset",
     "GroupComparison",
     "load_survey_csv",
+    "check_request",
     "compare_groups",
 ]
 
@@ -61,9 +62,7 @@ class _Columns(Sequence[SurveyRecord]):
     def __len__(self) -> int:
         return len(self.response)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(self[j] for j in range(len(self))[i])
+    def __getitem__(self, i: int) -> SurveyRecord:
         return SurveyRecord(
             self.respondents[self.respondent[i]],
             self.groups[self.group[i]],
@@ -248,6 +247,20 @@ class GroupComparison:
     significant: bool
 
 
+def check_request(dataset: SurveyDataset, questions: Sequence[str], groups: Sequence[str], alpha: float) -> None:
+    """Refuse an ``alpha`` outside (0, 1) and any question or group the dataset does not hold."""
+    if not 0.0 < alpha < 1.0:
+        raise InputError(f"alpha must lie strictly between 0 and 1, got {alpha}")
+    known = dataset.questions()
+    for q in questions:
+        if q not in known:
+            raise InputError(f"unknown question {q!r}")
+    known = dataset.groups()
+    for g in groups:
+        if g not in known:
+            raise InputError(f"unknown group {g!r} (available: {', '.join(known)})")
+
+
 def compare_groups(
     dataset: SurveyDataset,
     question: str,
@@ -261,17 +274,10 @@ def compare_groups(
     Questions listed in ``categorical`` have unordered answer options, so a
     rank test is refused.
     """
-    if not 0.0 < alpha < 1.0:
-        raise InputError(f"alpha must lie strictly between 0 and 1, got {alpha}")
     if question in categorical:
         raise InputError(
             f"question {question!r} is declared categorical; the rank test needs ordinal codes"
         )
-    if question not in dataset.questions():
-        raise InputError(f"unknown question {question!r}")
-    known = dataset.groups()
-    for g in (group_a, group_b):
-        if g not in known:
-            raise InputError(f"unknown group {g!r} (available: {', '.join(known)})")
+    check_request(dataset, [question], [group_a, group_b], alpha)
     result = mann_whitney_u(dataset.sample(question, group_a), dataset.sample(question, group_b))
     return GroupComparison(question, group_a, group_b, result, alpha, result.p_two_sided < alpha)

@@ -380,6 +380,66 @@ class TestUnreadableInput:
         assert f"cannot read {what} file {tmp_path}:" in err
 
 
+GAME_FILE_HOLDING_5 = "{tmp}/five.json"
+TWO_UNIFORMS = '"components": [{"prior": 0.5, "density": {"kind": "uniform", "lo": 0, "hi": 1}}, ' \
+    '{"prior": 0.5, "density": {"kind": "uniform", "lo": 0.5, "hi": 1.5}}]'
+
+
+class TestMalformedDocuments:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--game", '{"row_payoff": "ab", "zero_sum": true}'], "game document's row_payoff is not a numeric matrix"),
+            (["--game", '{"row_payoff": [[1, 0], [0, 1]], "col_payoff": [[1, [2]], [0, 1]]}'],
+             "game document's col_payoff is not a numeric matrix"),
+            (["--game", GAME_FILE_HOLDING_5], "game document must be a JSON object with a row_payoff matrix"),
+            (["--game", f"[{'1' * 5000}]"], "invalid game JSON"),
+        ],
+        ids=["string-matrix", "ragged-matrix", "file-holding-5", "overlong-integer"],
+    )
+    def test_game(self, capsys, tmp_path, argv, message):
+        (tmp_path / "five.json").write_text("5")
+        code, out, err = run(capsys, "solve-game", *(a.replace("{tmp}", str(tmp_path)) for a in argv))
+        assert (code, out) == (2, "")
+        assert message in err
+
+    @pytest.mark.parametrize(
+        "document, message",
+        [
+            ('{"components": [{"prior": "x", "density": {"kind": "uniform", "lo": 0, "hi": 1}}]}',
+             "malformed mixture document: could not convert string to float: 'x'"),
+            ('{"components": [{"prior": 0.5, "density": {"kind": "uniform", "lo": 0, "hi": "q"}}]}',
+             "malformed mixture document: could not convert string to float: 'q'"),
+            ('{"components": [{"prior": 0.5, "density": []}]}', "malformed mixture document"),
+            ('{"dimension": "x", %s}' % TWO_UNIFORMS, "declared dimension 'x' != component dimension 1"),
+            ('{"dimension": 1.5, %s}' % TWO_UNIFORMS, "declared dimension 1.5 != component dimension 1"),
+            ("[1, 2]", "mixture document must be a JSON object, got list"),
+        ],
+        ids=["string-prior", "string-bound", "list-density", "string-dimension", "fractional-dimension", "list"],
+    )
+    def test_mixture(self, capsys, document, message):
+        code, out, err = run(capsys, "classify-demo", "--mixture", document, "--classifier", "bayes", "--n", "10")
+        assert (code, out) == (2, "")
+        assert message in err
+
+    @pytest.mark.parametrize(
+        "cost, message",
+        [
+            ('[[0, "a"], [1, 0]]', "cost document is not a numeric matrix: could not convert string to float: 'a'"),
+            ('{"x": 1}', "cost document is not a numeric matrix"),
+            ("[[0, 1, 1], [1, 0, 1], [1, 1, 0]]", "cost matrix is 3x3 but the mixture has 2 classes"),
+        ],
+        ids=["string-entry", "object", "wrong-size"],
+    )
+    def test_cost(self, capsys, mixture_file, cost, message):
+        for classifier in ("bayes", "md"):
+            code, out, err = run(
+                capsys, "classify-demo", "--mixture", mixture_file, "--cost", cost, "--classifier", classifier, "--n", "10"
+            )
+            assert (code, out) == (2, ""), classifier
+            assert message in err, classifier
+
+
 class TestReport:
     def test_writes_files(self, capsys, survey_file, tmp_path):
         out_dir = tmp_path / "report"
@@ -390,6 +450,23 @@ class TestReport:
         assert (out_dir / "comparisons.csv").exists()
         assert (out_dir / "q1.svg").exists()
         assert "wrote" in out
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--groups", "teachers", "--alpha", "5"], "alpha must lie strictly between 0 and 1, got 5.0"),
+            (["--categorical", "q1", "--alpha", "-1"], "alpha must lie strictly between 0 and 1, got -1.0"),
+            (["--groups", "teachers,nobody"], "unknown group 'nobody' (available: teachers, academics)"),
+            (["--questions", "nope"], "unknown question 'nope'"),
+        ],
+        ids=["alpha-5", "alpha-negative-categorical", "unknown-group", "unknown-question"],
+    )
+    def test_arguments_are_checked_before_any_work(self, capsys, survey_file, tmp_path, argv, message):
+        out_dir = tmp_path / "report"
+        code, out, err = run(capsys, "report", "--data", survey_file, "--out-dir", str(out_dir), *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+        assert not out_dir.exists()
 
 
 def test_alpha_outside_the_open_unit_interval_exits_2(capsys, survey_file, tmp_path):
@@ -418,6 +495,23 @@ def test_seed_outside_64_bits_exits_2(capsys, argv):
         assert "--seed" in err
     code, _, _ = run(capsys, *argv, "--seed", str(2**64 - 1))
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["mwu", "--x", "1,2", "--y", "3"], ["--seed", "5"]),
+        (["mwu", "--x", "1,2", "--y", "3"], ["--out-dir", "out"]),
+        (["compare", "--data", "{survey}", "--question", "q1", "--groups", "teachers,academics"], ["--seed", "5"]),
+        (["compare", "--data", "{survey}", "--question", "q1", "--groups", "teachers,academics"], ["--out-dir", "out"]),
+        (["report", "--data", "{survey}", "--out-dir", "{tmp}"], ["--seed", "5"]),
+    ],
+    ids=["mwu-seed", "mwu-out-dir", "compare-seed", "compare-out-dir", "report-seed"],
+)
+def test_flags_a_subcommand_does_not_read_are_refused(capsys, survey_file, tmp_path, argv, flag):
+    code, out, err = run(capsys, *(a.format(survey=survey_file, tmp=tmp_path) for a in argv + flag))
+    assert (code, out) == (2, "")
+    assert f"unrecognized arguments: {' '.join(flag)}" in err
 
 
 class TestParser:

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import json
 import math
 import tempfile
 from pathlib import Path
@@ -322,6 +323,128 @@ def test_any_survey_file_exits_0_or_2(data, categories):
         path.write_bytes(data)
         argv = ["compare", "--data", str(path), "--question", "q1", "--groups", "g1,g2", "--categories", categories]
         assert main(argv) in (0, 2)
+
+
+FUZZ = settings(derandomize=True, max_examples=500, deadline=None)
+JSON_LEAVES = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4))
+
+
+@st.composite
+def one_odd_value(draw, valid):
+    """A valid document, or the same document with one value anywhere in it swapped for any JSON leaf."""
+    doc = draw(valid)
+    slots = []  # (container, key) of every value in the document
+    stack = [doc]
+    while stack:
+        node = stack.pop()
+        items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+        for key, value in items:
+            slots.append((node, key))
+            stack.append(value)
+    if slots and draw(st.booleans()):
+        node, key = draw(st.sampled_from(slots))
+        node[key] = draw(JSON_LEAVES)
+    return doc
+
+
+def documents(keys, valid):
+    """Bytes of a JSON document file: random bytes, random JSON whose objects
+    mostly use the loader's keys, or a valid document with at most one odd value."""
+    key = st.sampled_from(keys) | st.text(max_size=3) if keys else st.text(max_size=3)
+    values = st.recursive(
+        JSON_LEAVES,
+        lambda inner: st.lists(inner, max_size=4) | st.dictionaries(key, inner, max_size=4),
+        max_leaves=12,
+    )
+    return st.one_of(st.binary(max_size=200), values, one_odd_value(valid)).map(
+        lambda doc: doc if isinstance(doc, bytes) else json.dumps(doc).encode()
+    )
+
+
+def exit_code_with_document(data, argv):
+    """Run the CLI with ``{doc}`` in ``argv`` replaced by a file holding ``data``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "document.json"
+        path.write_bytes(data)
+        return main([str(path) if a == "{doc}" else a for a in argv])
+
+
+def matrices(rows, cols, entries=st.integers(-3, 3)):
+    return st.lists(st.lists(entries, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+
+
+@st.composite
+def valid_mixtures(draw):
+    k, d = draw(st.integers(2, 3)), draw(st.integers(1, 2))
+    if d == 1 and draw(st.booleans()):
+        lo = draw(st.lists(st.integers(-2, 2), min_size=k, max_size=k))
+        densities = [{"kind": "uniform", "lo": a, "hi": a + draw(st.integers(1, 3))} for a in lo]
+    else:
+        densities = [
+            {"kind": "gaussian", "mean": draw(st.lists(st.floats(-2, 2), min_size=d, max_size=d)),
+             "lambda": draw(st.floats(0.1, 3))}
+            for _ in range(k)
+        ]
+    doc = {"components": [{"prior": 1 / k, "density": density} for density in densities]}
+    if draw(st.booleans()):
+        doc["dimension"] = d
+    return doc
+
+
+@st.composite
+def valid_games(draw):
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    row = draw(matrices(rows, cols))
+    if draw(st.booleans()):
+        return {"row_payoff": row, "zero_sum": True}
+    return {"row_payoff": row, "col_payoff": draw(matrices(rows, cols))}
+
+
+MIXTURE_KEYS = ["dimension", "components", "prior", "density", "kind", "lo", "hi", "mean", "lambda"]
+CLASSIFIERS = st.sampled_from(["bayes", "mr", "md", "constant:0", "constant:1"])
+
+
+@FUZZ
+@given(documents(MIXTURE_KEYS, valid_mixtures()), CLASSIFIERS)
+def test_any_mixture_document_exits_0_or_2(data, classifier):
+    argv = ["classify-demo", "--mixture", "{doc}", "--classifier", classifier, "--n", "10"]
+    assert exit_code_with_document(data, argv) in (0, 2)
+
+
+@FUZZ
+@given(documents(["row_payoff", "col_payoff", "zero_sum"], valid_games()), st.sampled_from(["exact", "fp"]))
+def test_any_game_document_exits_0_or_2(data, method):
+    argv = ["solve-game", "--game", "{doc}", "--method", method, "--iters", "10"]
+    assert exit_code_with_document(data, argv) in (0, 2)
+
+
+@FUZZ
+@given(documents([], st.integers(2, 3).flatmap(lambda k: matrices(k, k, st.integers(0, 3)))), CLASSIFIERS)
+def test_any_cost_document_exits_0_or_2(data, classifier):
+    mixture = json.dumps(
+        {"components": [{"prior": 0.5, "density": {"kind": "uniform", "lo": lo, "hi": lo + 1.0}} for lo in (0.0, 0.5)]}
+    )
+    argv = ["classify-demo", "--mixture", mixture, "--cost", "{doc}", "--classifier", classifier, "--n", "10"]
+    assert exit_code_with_document(data, argv) in (0, 2)
+
+
+POLICIES = st.one_of(
+    st.text(max_size=12),
+    st.sampled_from(["exploiter", "pure:0", "pure:1", "pure:2", "mixed:0.5,0.5", "mixed:0.2,0.3,0.5"]),
+    st.sampled_from(["pure:", "mixed:", "exploiter", ""]).flatmap(
+        lambda head: st.lists(
+            st.one_of(st.integers(-1, 3), st.sampled_from([0.5, 1 / 3, 0.0]), JSON_LEAVES).map(str), max_size=4
+        ).map(lambda parts: head + ",".join(parts))
+    ),
+)
+
+
+@FUZZ
+@given(POLICIES, POLICIES, st.sampled_from(["mp", "rps"]))
+def test_any_policy_string_exits_0_or_2(row, col, game):
+    # --row=TEXT keeps a policy that starts with '-' from reading as a flag
+    argv = ["simulate-repeated", "--game", game, f"--row={row}", f"--col={col}", "--rounds", "10"]
+    assert main(argv) in (0, 2)
 
 
 @st.composite
