@@ -212,22 +212,21 @@ def two_class_likelihood_rule(mixture: Mixture, cost: CostMatrix) -> Determinist
     """Two-class rule: declare class 0 iff f0(x)/f1(x) strictly exceeds the threshold.
 
     The threshold ``(pi_1 kappa[1,0]) / (pi_0 kappa[0,1])`` makes the rule
-    agree with :func:`bayes_decide` wherever the posterior is defined; the
-    comparison is done in product form so zero densities need no special
-    casing.
+    agree with :func:`bayes_decide` wherever the posterior is defined. The
+    comparison is done in product form on the prior-weighted densities, so
+    zero densities need no special casing.
     """
     _check_cost(mixture, cost)
     if mixture.label_count != 2:
         raise InputError("the likelihood-ratio rule is defined for exactly two classes")
-    pi0, pi1 = mixture.priors
     k01 = cost.values[0, 1]
     k10 = cost.values[1, 0]
-    if pi0 * k01 <= 0.0:
+    if mixture.priors[0] * k01 <= 0.0:
         raise InputError("likelihood threshold undefined: pi_0 * kappa[0,1] must be positive")
 
     def rule(X: np.ndarray) -> np.ndarray:
-        f0, f1 = (c.density.pdf(X) for c in mixture.components)
-        return np.where(pi0 * k01 * f0 > pi1 * k10 * f1, 0, 1)
+        w = _weighted_densities(mixture, X)
+        return np.where(k01 * w[0] > k10 * w[1], 0, 1)
 
     return DeterministicClassifier(2, rule, name="likelihood-ratio")
 

@@ -72,11 +72,11 @@ class UniformInterval:
     def dimension(self) -> int:
         return 1
 
-    def pdf(self, x: np.ndarray) -> np.ndarray:
-        """Density at each row of the (n, 1) evidence array."""
+    def logpdf(self, x: np.ndarray) -> np.ndarray:
+        """Log density at each row of the (n, 1) evidence array; ``-inf`` outside."""
         v = x[:, 0]
         inside = (self.lo <= v) & (v <= self.hi)
-        return np.where(inside, 1.0 / (self.hi - self.lo), 0.0)
+        return np.where(inside, -math.log(self.hi - self.lo), -np.inf)
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,11 +98,9 @@ class IsotropicGaussian:
     def dimension(self) -> int:
         return int(self.mean.size)
 
-    def pdf(self, x: np.ndarray) -> np.ndarray:
-        d = self.dimension
+    def logpdf(self, x: np.ndarray) -> np.ndarray:
         sq = np.sum((x - self.mean) ** 2, axis=1)
-        norm = (2.0 * np.pi * self.lam) ** (-d / 2.0)
-        return norm * np.exp(-sq / (2.0 * self.lam))
+        return -sq / (2.0 * self.lam) - self.dimension / 2.0 * math.log(2.0 * math.pi * self.lam)
 
 
 Density = Union[UniformInterval, IsotropicGaussian]
@@ -203,21 +201,24 @@ def density_at(mixture: Mixture, label: LabelId, x) -> float:
     """Class-conditional density f_label(x)."""
     mixture._check_label(label)
     ev = mixture._as_evidence(x)
-    return float(mixture.components[label].density.pdf(ev)[0])
+    return math.exp(mixture.components[label].density.logpdf(ev)[0])
 
 
 def _weighted_densities(mixture: Mixture, X: np.ndarray) -> np.ndarray:
-    """Prior-weighted densities ``pi_j f_j(x_i)`` as a (k, n) array.
+    """Prior-weighted densities ``pi_j f_j(x_i)``, times a positive factor per column, as a (k, n) array.
 
+    Evaluated in the log domain, each column shifted so its largest entry is 1: nothing underflows.
     Class-major, so reductions over classes run along the long axis. Raises
     :class:`UnsupportedEvidenceError` if any row has zero density under every class.
     """
-    weighted = np.stack([c.prior * c.density.pdf(X) for c in mixture.components])
-    total = weighted.sum(axis=0)
-    if np.any(total <= 0.0):
-        bad = int(np.flatnonzero(total <= 0.0)[0])
+    with np.errstate(divide="ignore"):  # a zero prior has log -inf
+        weighted = np.stack([np.log(c.prior) + c.density.logpdf(X) for c in mixture.components])
+    top = weighted.max(axis=0)
+    if np.isneginf(top).any():
+        bad = int(np.argmax(np.isneginf(top)))
         raise UnsupportedEvidenceError(f"evidence row {bad} has zero density under every class")
-    return weighted
+    weighted -= top
+    return np.exp(weighted, out=weighted)
 
 
 def posterior_matrix(mixture: Mixture, X: np.ndarray) -> np.ndarray:

@@ -82,9 +82,12 @@ class MatchTrace:
         # adding 0.0 folds the negative zeros produced by payoff negation
         columns = (self.row_actions.tolist(), self.col_actions.tolist(),
                    (self.row_payoffs + 0.0).tolist(), (self.col_payoffs + 0.0).tolist())
-        with open(path, "w", newline="") as fh:
-            fh.write("round,row_action,col_action,row_payoff,col_payoff\r\n")
-            fh.writelines(f"{t},{i},{j},{p!r},{q!r}\r\n" for t, (i, j, p, q) in enumerate(zip(*columns)))
+        try:
+            with open(path, "w", newline="") as fh:
+                fh.write("round,row_action,col_action,row_payoff,col_payoff\r\n")
+                fh.writelines(f"{t},{i},{j},{p!r},{q!r}\r\n" for t, (i, j, p, q) in enumerate(zip(*columns)))
+        except OSError as exc:
+            raise InputError(f"cannot write trace file {path}: {exc}") from exc
 
 
 @dataclass(frozen=True, eq=False)

@@ -70,8 +70,10 @@ def run_report(
     messages of :func:`compare_groups`. Questions in ``categorical`` are
     charted as grouped bars and excluded from rank testing. Every other
     question gets a diverging chart plus all pairwise group comparisons at
-    level ``alpha``. Each (question, group) sample is built once and feeds
-    the low-n notes, the summaries and the chart.
+    level ``alpha``. Each (question, group) sample is built once, by the
+    dataset, and feeds the low-n notes, the summaries, the rank tests and the
+    chart. Two questions whose chart files would share a name are refused
+    before any file is written.
     """
     questions = list(questions) if questions is not None else dataset.questions()
     groups = tuple(groups if groups is not None else dataset.groups())
@@ -84,6 +86,12 @@ def run_report(
     if len(labels) != k:
         raise InputError(f"got {len(labels)} category labels for {k} categories")
     neutral = neutral_index if neutral_index is not None else (k - 1) // 2
+    if out_dir is not None:
+        charted: dict[str, str] = {}  # chart file name -> the first question written there
+        for question in questions:
+            name = f"{_safe_name(question)}.svg"
+            if charted.setdefault(name, question) != question:
+                raise InputError(f"questions {charted[name]!r} and {question!r} would both be written to {name}")
 
     reports: list[QuestionReport] = []
     csv_buf = io.StringIO()
@@ -111,12 +119,12 @@ def run_report(
     written: list[str] = []
     if out_dir is not None:
         out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        csv_path = out / "comparisons.csv"
-        csv_path.write_text(csv_text)
-        written.append(str(csv_path))
-        for rep in reports:
-            svg_path = out / f"{_safe_name(rep.question)}.svg"
-            svg_path.write_text(rep.chart_svg)
-            written.append(str(svg_path))
+        files = [("comparisons.csv", csv_text)] + [(f"{_safe_name(r.question)}.svg", r.chart_svg) for r in reports]
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+            for name, text in files:
+                (out / name).write_text(text)
+                written.append(str(out / name))
+        except OSError as exc:
+            raise InputError(f"cannot write the report to {out}: {exc}") from exc
     return ReportBundle(tuple(reports), csv_text, tuple(written))

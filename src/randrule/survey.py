@@ -144,6 +144,7 @@ class SurveyDataset:
         self._groups = tuple(columns.groups)
         self._questions = tuple(columns.questions)
         self._index = dict(zip(keys, np.split(response[present[order]], starts[1:])))
+        self._samples: dict[tuple[str, str], OrdinalSample] = {}
 
     def groups(self) -> list[str]:
         """Group names in first-appearance order."""
@@ -158,10 +159,15 @@ class SurveyDataset:
         return self._index.get((question, group), np.empty(0, dtype=np.int64)).tolist()
 
     def sample(self, question: str, group: str) -> OrdinalSample:
-        values = self._index.get((question, group))
-        if values is None:
-            raise InputError(f"group {group!r} has no responses for question {question!r}")
-        return OrdinalSample(values, category_count=self.category_count)
+        """One group's responses to one question, built on the first request and shared after it."""
+        key = (question, group)
+        sample = self._samples.get(key)
+        if sample is None:
+            values = self._index.get(key)
+            if values is None:
+                raise InputError(f"group {group!r} has no responses for question {question!r}")
+            sample = self._samples[key] = OrdinalSample(values, category_count=self.category_count)
+        return sample
 
 
 def load_survey_csv(path: str | Path, category_count: int = 5) -> SurveyDataset:

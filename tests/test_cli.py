@@ -99,6 +99,21 @@ class TestClassifyDemo:
                 printed[name] = csv_out(out)[1][3:5]
             assert printed["mr"] == printed["bayes"]
 
+    @pytest.mark.parametrize("classifier", ["bayes", "mr"])
+    def test_bayes_rules_run_on_an_800_dimensional_mixture(self, capsys, classifier):
+        # these cases' densities lie below the smallest double
+        mixture = {
+            "components": [
+                {"prior": 0.5, "density": {"kind": "gaussian", "mean": [0.0] * 800, "lambda": 1.0}},
+                {"prior": 0.5, "density": {"kind": "gaussian", "mean": [0.1] * 800, "lambda": 1.0}},
+            ]
+        }
+        argv = ["--mixture", json.dumps(mixture), "--classifier", classifier, "--n", "100", "--format", "csv"]
+        code, out, err = run(capsys, "classify-demo", *argv)
+        assert (code, err) == (0, "")
+        # the Bayes error here is Phi(-sqrt(2)) = 0.079
+        assert float(csv_out(out)[1][3]) < 0.25
+
     def test_constant_classifier_has_analytic_value(self, capsys, mixture_file):
         code, out, _ = run(
             capsys,
@@ -237,6 +252,15 @@ class TestSimulateRepeated:
         with open(trace_path, newline="") as fh:
             trace_rows = list(csv.reader(fh))
         assert len(trace_rows) == 501
+
+    def test_unwritable_trace_path_is_an_input_error(self, capsys, tmp_path):
+        trace_path = tmp_path / "missing" / "x.csv"
+        code, out, err = run(
+            capsys, "simulate-repeated", "--game", "mp", "--row", "pure:0", "--col", "pure:0",
+            "--trace", str(trace_path),
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write trace file {trace_path}: ")
 
     def test_mixed_policy_parsing(self, capsys):
         code, out, _ = run(
@@ -450,6 +474,13 @@ class TestReport:
         assert (out_dir / "comparisons.csv").exists()
         assert (out_dir / "q1.svg").exists()
         assert "wrote" in out
+
+    def test_out_dir_that_is_a_file_is_an_input_error(self, capsys, survey_file, tmp_path):
+        blocker = tmp_path / "report"
+        blocker.write_text("")
+        code, out, err = run(capsys, "report", "--data", survey_file, "--out-dir", str(blocker))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write the report to {blocker}: ")
 
     @pytest.mark.parametrize(
         "argv, message",

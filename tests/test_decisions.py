@@ -174,6 +174,14 @@ class TestLikelihoodRule:
             bayes = bayes_classifier(m, cost)
             assert np.array_equal(rule.decide_batch(X), bayes.decide_batch(X))
 
+    def test_agrees_with_nearest_mean_in_800_dimensions(self):
+        # these cases' densities lie below the smallest double
+        m = gaussian_mixture(np.stack([np.zeros(800), np.full(800, 0.1)]), lam=1.0)
+        X, _ = sample_case_arrays(m, 1_000, seed=5)
+        decisions = two_class_likelihood_rule(m, ZERO_ONE).decide_batch(X)
+        assert np.array_equal(decisions, nearest_mean_classifier(m).decide_batch(X))
+        assert 0 < decisions.sum() < 1_000
+
     def test_needs_two_classes(self):
         m = gaussian_mixture([0.0, 1.0, 2.0], lam=1.0)
         with pytest.raises(InputError):

@@ -110,15 +110,26 @@ class TestPosterior:
             posterior(two_uniform(), 5.0)
 
     def test_unsupported_evidence_names_its_row_not_its_coordinates(self):
-        # in 800-D every Gaussian density underflows to zero; the message
-        # stays short instead of printing all 800 coordinates
+        # in 800-D these densities lie below the smallest double, yet equal
+        # means still leave every row uninformative
         m = gaussian_mixture(np.zeros((2, 800)), lam=1.0)
-        X = np.ones((3, 800))
+        assert np.array_equal(posterior_matrix(m, np.ones((3, 800))), np.full((3, 2), 0.5))
         with pytest.raises(UnsupportedEvidenceError) as info:
-            posterior_matrix(m, X)
-        assert str(info.value) == "evidence row 0 has zero density under every class"
-        with pytest.raises(UnsupportedEvidenceError, match="evidence row 1 "):
             posterior_matrix(two_uniform(), np.array([[0.25], [5.0], [7.0]]))
+        assert str(info.value) == "evidence row 1 has zero density under every class"
+
+    @pytest.mark.parametrize("x", [38.0, 40.0, 100.0])
+    def test_far_tail_posterior_is_the_logistic(self, x):
+        # log f1(x) - log f0(x) = x - 1/2 for unit Gaussians at 0 and 1
+        m = gaussian_mixture([0.0, 1.0], lam=1.0)
+        assert posterior(m, x)[0] == pytest.approx(1.0 / (1.0 + math.exp(x - 0.5)), rel=1e-12, abs=0.0)
+        assert posterior(m, -x)[1] == pytest.approx(1.0 / (1.0 + math.exp(x + 0.5)), rel=1e-12, abs=0.0)
+
+    def test_zero_prior_class_gets_zero_posterior(self):
+        m = gaussian_mixture([0.0, 1.0, 2.0], lam=1.0, priors=[0.0, 0.5, 0.5])
+        post = posterior_matrix(m, np.array([[-3.0], [0.3], [40.0]]))
+        assert np.array_equal(post[:, 0], np.zeros(3))
+        assert np.allclose(post.sum(axis=1), 1.0, atol=1e-12)
 
     def test_sums_to_one_across_support(self):
         m = two_uniform(0.3, 1.2)

@@ -4,7 +4,7 @@ import io
 import numpy as np
 import pytest
 
-from randrule import InputError, SurveyDataset, SurveyRecord, load_survey_csv, run_report
+from randrule import InputError, OrdinalSample, SurveyDataset, SurveyRecord, load_survey_csv, run_report
 
 
 def build_dataset(groups=("g1", "g2"), questions=("q1", "q2", "q3"), n=10, separated=True):
@@ -110,10 +110,34 @@ def test_report_reads_histograms_and_sorts_nothing(monkeypatch, tmp_path):
     assert [q.chart_svg for q in bundle.questions] == [q.chart_svg for q in expected.questions]
 
 
+def test_each_cell_sample_is_built_once(monkeypatch):
+    built = []
+    post_init = OrdinalSample.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    dataset = build_dataset(("a", "b", "c", "d"))
+    monkeypatch.setattr(OrdinalSample, "__post_init__", counting)
+    bundle = run_report(dataset, categorical={"q3"})
+    assert len(built) == 3 * 4
+    assert sum(len(q.comparisons) for q in bundle.questions) == 2 * 6
+
+
 class TestValidation:
     def test_label_count_must_match(self):
         with pytest.raises(InputError):
             run_report(build_dataset(), category_labels=("a", "b"))
+
+    def test_questions_sharing_a_chart_file_are_refused_before_writing(self, tmp_path):
+        records = [SurveyRecord(f"{g}{i}", g, q, 1 + i % 3) for q in ("q 1", "q_1") for g in ("a", "b") for i in range(4)]
+        out_dir = tmp_path / "out"
+        with pytest.raises(InputError, match="questions 'q 1' and 'q_1' would both be written to q_1.svg"):
+            run_report(SurveyDataset(records), out_dir=out_dir)
+        assert not out_dir.exists()
+        # without files to write both questions are reported
+        assert [q.question for q in run_report(SurveyDataset(records)).questions] == ["q 1", "q_1"]
 
     def test_unknown_question_propagates(self):
         with pytest.raises(InputError):

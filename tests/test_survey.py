@@ -113,6 +113,14 @@ class TestDatasetValidation:
             SurveyDataset((SurveyRecord("r1", "g1", "q1", 3), SurveyRecord("r2", "g1", "q1", 2.5)))
 
 
+def test_a_cell_sample_is_built_once_and_shared(tmp_path):
+    ds = load_survey_csv(write_csv(tmp_path / "s.csv", separated_rows()))
+    sample = ds.sample("q1", "teachers")
+    assert ds.sample("q1", "teachers") is sample
+    assert not sample.values.flags.writeable and not sample.counts.flags.writeable
+    assert ds.sample("q1", "academics") is not sample
+
+
 class TestCompareGroups:
     def test_separated_groups_are_significant(self, tmp_path):
         ds = load_survey_csv(write_csv(tmp_path / "s.csv", separated_rows()))
