@@ -17,7 +17,7 @@ import numpy as np
 
 from randrule import (
     CostMatrix,
-    analytic_overlap_cost,
+    bayes_risk,
     constant_classifier,
     monte_carlo_cost,
     overlap_deterministic,
@@ -54,7 +54,7 @@ def main():
     for a in np.arange(0.1, 1.0, 0.1):
         a = round(float(a), 1)
         m = uniform_overlap_mixture(a, 1.0)
-        exact = analytic_overlap_cost(a, 1.0)
+        exact = bayes_risk(m, ZERO_ONE)
         md = monte_carlo_cost(m, ZERO_ONE, overlap_deterministic(a, 1.0), N, SEED)
         mr = monte_carlo_cost(m, ZERO_ONE, randomized_bayes_classifier(m, ZERO_ONE), N, SEED)
         print(

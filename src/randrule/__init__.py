@@ -24,9 +24,9 @@ from .decisions import (
     CostMatrix,
     DeterministicClassifier,
     RandomizedClassifier,
-    analytic_overlap_cost,
     bayes_classifier,
     bayes_decide,
+    bayes_risk,
     constant_classifier,
     expected_cost_of_classifier,
     expected_cost_of_decision,

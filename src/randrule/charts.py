@@ -16,6 +16,7 @@ row and the closing tag.
 
 from __future__ import annotations
 
+import re
 from collections.abc import Sequence
 
 import numpy as np
@@ -71,7 +72,13 @@ def diverging_palette(k: int, neutral_index: int) -> tuple[str, ...]:
     return tuple(colors)
 
 
+# any character outside XML 1.0's Char production; no escape can put one in a document
+_NOT_XML_CHAR = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+
+
 def _esc(text: str) -> str:
+    if _NOT_XML_CHAR.search(text):
+        raise InputError(f"chart text {text!r} holds a character that XML cannot hold")
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 

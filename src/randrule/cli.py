@@ -16,8 +16,8 @@ import numpy as np
 
 from .decisions import (
     CostMatrix,
-    analytic_overlap_cost,
     bayes_classifier,
+    bayes_risk,
     constant_classifier,
     monte_carlo_cost,
     overlap_deterministic,
@@ -115,11 +115,12 @@ def _cmd_classify_demo(args: argparse.Namespace) -> int:
 
     estimate = monte_carlo_cost(mixture, cost, clf, args.n, args.seed)
     analytic = ""
-    is_zero_one = bool(np.array_equal(cost.values, CostMatrix.zero_one(mixture.label_count).values))
+    intervals = all(isinstance(c.density, UniformInterval) for c in mixture.components)
     if name.startswith("constant:"):
         analytic = _num(float(mixture.priors @ cost.values[:, clf.decide(np.zeros(mixture.dimension))]))
-    elif geometry is not None and is_zero_one:
-        analytic = _num(analytic_overlap_cost(*geometry))
+    elif intervals and (name != "md" or np.array_equal(cost.values, CostMatrix.zero_one(2).values)):
+        # md costs the Bayes risk only under 0-1 cost
+        analytic = _num(bayes_risk(mixture, cost))
     _emit(
         ["classifier", "n", "seed", "mean_cost", "std_error", "analytic"],
         [[clf.name, str(args.n), str(args.seed), _num(estimate.mean_cost), _num(estimate.standard_error), analytic]],

@@ -21,7 +21,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import InputError
-from .mixtures import IsotropicGaussian, Mixture, _sample_arrays, _weighted_densities, posterior
+from .mixtures import IsotropicGaussian, Mixture, UniformInterval, _sample_arrays, _weighted_densities, posterior
 from .rng import generator
 
 __all__ = [
@@ -39,7 +39,7 @@ __all__ = [
     "nearest_mean_classifier",
     "constant_classifier",
     "overlap_deterministic",
-    "analytic_overlap_cost",
+    "bayes_risk",
     "monte_carlo_cost",
 ]
 
@@ -270,15 +270,11 @@ def constant_classifier(label: int, label_count: int) -> DeterministicClassifier
     return DeterministicClassifier(label_count, rule, name=f"constant:{label}")
 
 
-def _check_overlap_params(a: float, b: float) -> None:
+def overlap_deterministic(a: float, b: float) -> DeterministicClassifier:
+    """Midpoint rule for supports [0, b] and [a, a+b]: class 1 iff (a+b)/2 <= x."""
     # a = 0 is the identical-supports case; the shift cannot be negative
     if not (a >= 0 and b > 0):
         raise InputError(f"overlap rules need a >= 0 and b > 0, got a={a}, b={b}")
-
-
-def overlap_deterministic(a: float, b: float) -> DeterministicClassifier:
-    """Midpoint rule for supports [0, b] and [a, a+b]: class 1 iff (a+b)/2 <= x."""
-    _check_overlap_params(a, b)
     mid = (a + b) / 2.0
 
     def rule(X: np.ndarray) -> np.ndarray:
@@ -287,17 +283,20 @@ def overlap_deterministic(a: float, b: float) -> DeterministicClassifier:
     return DeterministicClassifier(2, rule, name="overlap-deterministic")
 
 
-def analytic_overlap_cost(a: float, b: float) -> float:
-    """Exact 0-1 error rate of the overlap rules: (b-a)/(2b) if a < b else 0.
+def bayes_risk(mixture: Mixture, cost: CostMatrix) -> float:
+    """Exact expected cost of :func:`bayes_decide` on a mixture of intervals.
 
-    The mixture puts mass (b-a)/b on the overlap, where any rule errs half
-    the time; off the overlap the evidence decides the class for free. At
-    a >= b the overlap has measure zero and the cost vanishes.
+    Every density is constant between consecutive endpoints, so the risk sums
+    cell width times the least score ``sum_j pi_j kappa[j, d] f_j`` at each
+    cell midpoint; on the overlap under 0-1 cost that is (b-a)/(2b) for a < b.
     """
-    _check_overlap_params(a, b)
-    if a >= b:
-        return 0.0
-    return (b - a) / (2.0 * b)
+    _check_cost(mixture, cost)
+    if not all(isinstance(c.density, UniformInterval) for c in mixture.components):
+        raise InputError("the exact Bayes risk needs interval components")
+    edges = np.unique([[c.density.lo, c.density.hi] for c in mixture.components])
+    mids = ((edges[:-1] + edges[1:]) / 2.0).reshape(-1, 1)
+    weighted = np.stack([c.prior * np.exp(c.density.logpdf(mids)) for c in mixture.components])
+    return float(np.diff(edges) @ (cost.values.T @ weighted).min(axis=0))
 
 
 def monte_carlo_cost(

@@ -115,17 +115,20 @@ class SurveyDataset:
             raise InputError(f"category count must be >= 2, got {category_count}")
         response = columns.response
         empty_group = np.array([not g for g in columns.groups])[columns.group]
+        empty_question = np.array([not q for q in columns.questions])[columns.question]
         pair = columns.respondent * len(columns.questions) + columns.question
         order = np.argsort(pair, kind="stable")
         duplicate = np.zeros(len(columns), dtype=bool)
         duplicate[order[1:][pair[order[1:]] == pair[order[:-1]]]] = True
         out_of_range = (response < 0) | (response > category_count)
-        bad = empty_group | duplicate | out_of_range
+        bad = empty_group | empty_question | duplicate | out_of_range
         if bad.any():
             row = int(np.argmax(bad))
             rec = records[row]
             if empty_group[row]:
                 message = f"record {rec.respondent_id!r}/{rec.question!r} has an empty group"
+            elif empty_question[row]:
+                message = f"record {rec.respondent_id!r} in group {rec.group!r} has an empty question"
             elif duplicate[row]:
                 message = f"duplicate response for respondent {rec.respondent_id!r}, question {rec.question!r}"
             else:
@@ -176,6 +179,8 @@ def load_survey_csv(path: str | Path, category_count: int = 5) -> SurveyDataset:
     Rows count from 1 at the header, blank rows included. A UTF-8 byte-order
     mark is skipped.
     """
+    if category_count < 2:
+        raise InputError(f"category count must be >= 2, got {category_count}")
     path = Path(path)
     if not path.exists():
         raise InputError(f"survey file not found: {path}")
@@ -237,8 +242,6 @@ def load_survey_csv(path: str | Path, category_count: int = 5) -> SurveyDataset:
         return SurveyDataset._from_columns(columns, category_count)
     except _RowError as exc:
         raise InputError(f"{path}:{line(exc.row)}: {exc}") from exc
-    except InputError as exc:
-        raise InputError(f"{path}: {exc}") from exc
 
 
 @dataclass(frozen=True)

@@ -20,13 +20,13 @@ from randrule import (
     SurveyDataset,
     SurveyRecord,
     bayes_classifier,
+    bayes_risk,
     brute_force_u,
     build_harm_game,
     build_matching_pennies,
     build_rock_paper_scissors,
     compare_groups,
     constant_classifier,
-    analytic_overlap_cost,
     fictitious_play,
     find_pure_nash,
     gaussian_mixture,
@@ -71,9 +71,9 @@ def test_criterion_1_overlap_rules_match_the_analytic_cost():
 
     for a in np.arange(0.1, 0.95, 0.1):
         a = round(float(a), 1)
-        exact = analytic_overlap_cost(a, 1.0)
-        band = _three_sigma(exact, N_BIG)
         m = uniform_overlap_mixture(a, 1.0)
+        exact = bayes_risk(m, ZERO_ONE)
+        band = _three_sigma(exact, N_BIG)
         est_d = monte_carlo_cost(m, ZERO_ONE, overlap_deterministic(a, 1.0), N_BIG, seed=42)
         est_r = monte_carlo_cost(m, ZERO_ONE, randomized_bayes_classifier(m, ZERO_ONE), N_BIG, seed=42)
         assert abs(est_d.mean_cost - exact) <= band, f"deterministic rule off at a={a}"

@@ -135,3 +135,13 @@ class TestSharedChecks:
     def test_group_without_responses_rejected(self, render):
         with pytest.raises(InputError, match="^group 'missing' has no responses for question 'q1'$"):
             render(("g", "missing"), [[1, 1, 1, 0, 0], [0, 0, 0, 0, 0]], FIVE)
+
+    @pytest.mark.parametrize("text", ["g\x01x", "g\ud800", "g\ufffe"])
+    def test_text_that_xml_cannot_hold_is_refused(self, render, text):
+        with pytest.raises(InputError, match="holds a character that XML cannot hold"):
+            render((text,), [[1, 1, 1, 1, 1]], FIVE)
+
+    def test_text_xml_can_hold_parses(self, render):
+        minidom = pytest.importorskip("xml.dom.minidom")
+        svg = render(("tab\tand <&> \U0001f600 \ufffd",), [[1, 1, 1, 1, 1]], FIVE)
+        minidom.parseString(svg.encode())

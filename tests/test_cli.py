@@ -154,6 +154,41 @@ class TestClassifyDemo:
         assert code == 2
         assert "'x' is not an integer" in err
 
+    @pytest.mark.parametrize("classifier", ["bayes", "mr"])
+    def test_bayes_rules_print_the_exact_risk_of_an_interval_mixture(self, capsys, classifier):
+        three_class = {
+            "components": [
+                {"prior": 0.2, "density": {"kind": "uniform", "lo": 0.0, "hi": 2.0}},
+                {"prior": 0.5, "density": {"kind": "uniform", "lo": 1.0, "hi": 3.0}},
+                {"prior": 0.3, "density": {"kind": "uniform", "lo": 0.5, "hi": 1.5}},
+            ]
+        }
+        cost = "[[0, 1, 4], [2, 0, 1], [1, 3, 0]]"
+        argv = ["--mixture", json.dumps(three_class), "--cost", cost, "--classifier", classifier, "--seed", "9"]
+        code, out, _ = run(capsys, "classify-demo", *argv, "--n", "20000", "--format", "csv")
+        assert code == 0
+        _, _, _, mean, se, analytic = csv_out(out)[1]
+        assert analytic == "0.525"
+        assert abs(float(mean) - 0.525) <= 4.0 * float(se)
+
+    def test_analytic_column_is_blank_where_no_exact_cost_applies(self, capsys, mixture_file):
+        # md costs the Bayes risk only under 0-1 cost, and Gaussians have no exact risk here
+        gaussians = json.dumps({
+            "components": [
+                {"prior": 0.5, "density": {"kind": "gaussian", "mean": [0.0], "lambda": 1.0}},
+                {"prior": 0.5, "density": {"kind": "gaussian", "mean": [1.0], "lambda": 1.0}},
+            ]
+        })
+        for mixture, cost, classifier in [
+            (mixture_file, "[[0, 2], [1, 0]]", "md"),
+            (gaussians, "zero-one", "bayes"),
+            (gaussians, "zero-one", "mr"),
+        ]:
+            argv = ["--mixture", mixture, "--cost", cost, "--classifier", classifier, "--n", "1000"]
+            code, out, _ = run(capsys, "classify-demo", *argv, "--format", "csv")
+            assert code == 0
+            assert csv_out(out)[1][5] == ""
+
 
 class TestSolveGame:
     def test_harm_scenario(self, capsys):
@@ -339,6 +374,13 @@ class TestCompare:
         assert code == 0
         assert out == run(capsys, *argv, "--categories", "5")[1]
 
+    @pytest.mark.parametrize("categories", ["-3", "0", "1"])
+    def test_a_category_count_below_2_blames_the_argument(self, capsys, survey_file, categories):
+        argv = ["compare", "--data", survey_file, "--question", "q1", "--groups", "teachers,academics"]
+        code, out, err = run(capsys, *argv, "--categories", categories)
+        assert (code, out) == (2, "")
+        assert err == f"error: category count must be >= 2, got {categories}\n"
+
     def test_categorical_question_is_refused(self, capsys, survey_file):
         code, _, err = run(
             capsys,
@@ -481,6 +523,23 @@ class TestReport:
         code, out, err = run(capsys, "report", "--data", survey_file, "--out-dir", str(blocker))
         assert (code, out) == (2, "")
         assert err.startswith(f"error: cannot write the report to {blocker}: ")
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("r1,g\x01x,q1,3", "chart text 'g\\x01x' holds a character that XML cannot hold"),
+            ("r1,teachers,,3", "record 'r1' in group 'teachers' has an empty question"),
+        ],
+        ids=["group-outside-xml", "empty-question"],
+    )
+    def test_a_record_that_would_make_a_broken_file_is_refused(self, capsys, survey_file, tmp_path, row, message):
+        data = tmp_path / "survey.csv"
+        data.write_text(open(survey_file).read() + row + "\n")
+        out_dir = tmp_path / "report"
+        code, out, err = run(capsys, "report", "--data", str(data), "--out-dir", str(out_dir))
+        assert (code, out) == (2, "")
+        assert message in err
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize(
         "argv, message",

@@ -8,13 +8,14 @@ from randrule import (
     InputError,
     RandomizedClassifier,
     UnsupportedEvidenceError,
-    analytic_overlap_cost,
     bayes_classifier,
     bayes_decide,
+    bayes_risk,
     constant_classifier,
     expected_cost_of_classifier,
     expected_cost_of_decision,
     gaussian_mixture,
+    mixture_from_dict,
     monte_carlo_cost,
     nearest_mean_classifier,
     overlap_deterministic,
@@ -331,11 +332,13 @@ class TestRandomizedBayes:
 
 
 class TestAnalyticOverlapCost:
+    """The exact 0-1 cost of the overlap rules is the Bayes risk of the overlap mixture."""
+
     def test_reference_values(self):
-        assert analytic_overlap_cost(0.5, 1.0) == 0.25
-        assert analytic_overlap_cost(0.0, 1.0) == 0.5  # identical supports
-        assert analytic_overlap_cost(2.0, 1.0) == 0.0  # separable
-        assert analytic_overlap_cost(1.0, 1.0) == 0.0  # touching: zero-measure overlap
+        assert bayes_risk(overlap(0.5, 1.0), ZERO_ONE) == 0.25
+        assert bayes_risk(overlap(0.0, 1.0), ZERO_ONE) == 0.5  # identical supports
+        assert bayes_risk(overlap(2.0, 1.0), ZERO_ONE) == 0.0  # separable
+        assert bayes_risk(overlap(1.0, 1.0), ZERO_ONE) == 0.0  # touching: zero-measure overlap
 
     @pytest.mark.parametrize("a", [0.25, 0.5, 0.8, 1.3])
     def test_against_quadrature_oracle(self, a):
@@ -349,7 +352,34 @@ class TestAnalyticOverlapCost:
         f1 = ((centers >= a) & (centers <= a + b)) / b
         decisions = md.decide_batch(centers.reshape(-1, 1))
         err = 0.5 * np.where(decisions == 0, f1, f0)
-        assert float((err * width).sum()) == pytest.approx(analytic_overlap_cost(a, b), abs=2e-5)
+        assert float((err * width).sum()) == pytest.approx(bayes_risk(overlap(a, b), ZERO_ONE), abs=2e-5)
+
+    def test_matches_the_closed_form_on_a_sweep(self):
+        for b in (0.3, 1.0, 2.0):
+            for i in range(250):
+                a = i / 100
+                closed = (b - a) / (2.0 * b) if a < b else 0.0
+                assert abs(bayes_risk(overlap(a, b), ZERO_ONE) - closed) <= 2e-16, (a, b)
+
+
+class TestBayesRisk:
+    def test_three_class_mixture_under_a_general_cost(self):
+        priors_and_supports = [(0.2, 0.0, 2.0), (0.5, 1.0, 3.0), (0.3, 0.5, 1.5)]
+        mixture = mixture_from_dict(
+            {"components": [{"prior": p, "density": {"kind": "uniform", "lo": lo, "hi": hi}}
+                            for p, lo, hi in priors_and_supports]}
+        )
+        # the cells [0,.5] [.5,1] [1,1.5] [1.5,2] [2,3] decide 0, 0, 2, 1, 1 at least scores
+        # 0, .3, .65, .1, 0; times the cell widths that is 0 + .15 + .325 + .05 + 0
+        assert bayes_risk(mixture, CostMatrix([[0, 1, 4], [2, 0, 1], [1, 3, 0]])) == 0.525
+
+    def test_gaussian_components_are_refused(self):
+        with pytest.raises(InputError, match="interval components"):
+            bayes_risk(gaussian_mixture([0.0, 1.0], 1.0), ZERO_ONE)
+
+    def test_cost_shape_mismatch_rejected(self):
+        with pytest.raises(InputError):
+            bayes_risk(overlap(), CostMatrix.zero_one(3))
 
 
 class TestMonteCarlo:

@@ -30,6 +30,7 @@ from randrule import (
     SurveyRecord,
     UniformInterval,
     bayes_classifier,
+    bayes_risk,
     brute_force_u,
     build_harm_game,
     constant_classifier,
@@ -41,6 +42,7 @@ from randrule import (
     is_nash,
     load_survey_csv,
     mann_whitney_u,
+    monte_carlo_cost,
     randomized_bayes_classifier,
     run_repeated,
     solve_zero_sum,
@@ -228,6 +230,8 @@ def row_by_row_load(path, category_count):
     for rec, lineno in zip(records, lines):
         if not rec.group:
             raise InputError(f"{path}:{lineno}: record {rec.respondent_id!r}/{rec.question!r} has an empty group")
+        if not rec.question:
+            raise InputError(f"{path}:{lineno}: record {rec.respondent_id!r} in group {rec.group!r} has an empty question")
         key = (rec.respondent_id, rec.question)
         if key in seen:
             raise InputError(f"{path}:{lineno}: duplicate response for respondent {key[0]!r}, question {key[1]!r}")
@@ -247,7 +251,7 @@ wrong_width = st.lists(st.sampled_from(["r1", "g1", "q1", "3", ""]), min_size=1,
 @st.composite
 def survey_csv(draw, k):
     """A survey CSV: mostly valid rows, with blank rows, rows of the wrong width,
-    empty groups, out-of-range and non-integer responses, and duplicates."""
+    empty groups and questions, out-of-range and non-integer responses, and duplicates."""
     # valid codes in the spellings int() accepts, and responses a k-category survey rejects
     valid = ["", "1", "2", " 2 ", "02", "+2", "\uff12", str(k), f"0{k}", f"+{k}"]
     odd = ["x", "0", "2.5", str(k + 1), "-1", ""]
@@ -269,7 +273,11 @@ def survey_csv(draw, k):
         question = draw(st.sampled_from(PADDINGS)).format(draw(st.sampled_from(["q1", "q2", "q3"])))
         response = draw(st.sampled_from(valid))
         if kind == "odd" and draw(st.booleans()):
-            group = draw(st.sampled_from(["", " "]))
+            blank = draw(st.sampled_from(["group", "question", "both"]))
+            if blank != "question":
+                group = draw(st.sampled_from(["", " "]))
+            if blank != "group":
+                question = draw(st.sampled_from(["", " "]))
         elif kind == "odd":
             response = draw(st.sampled_from(odd))
         writer.writerow([respondent, group, question, response])
@@ -562,6 +570,33 @@ def test_randomized_bayes_costs_exactly_the_minimum(case):
             assert expected_cost_of_classifier(mixture, cost, rules[0], x) <= (
                 expected_cost_of_classifier(mixture, cost, rule, x) + 1e-12
             )
+
+
+@st.composite
+def interval_mixtures(draw):
+    """2-4 intervals on a one-decimal grid, disjoint ones included, with random priors of at
+    least 1/16 and a random non-negative integer cost matrix."""
+    k = draw(st.integers(2, 4))
+    lo = draw(st.lists(st.integers(0, 10), min_size=k, max_size=k))
+    width = draw(st.lists(st.integers(1, 10), min_size=k, max_size=k))
+    weights = np.array(draw(st.lists(st.integers(1, 5), min_size=k, max_size=k)), dtype=float)
+    cost = np.array(draw(st.lists(st.integers(0, 3), min_size=k * k, max_size=k * k)), dtype=float)
+    densities = [UniformInterval(l / 10, (l + w) / 10) for l, w in zip(lo, width)]
+    mixture = Mixture([ClassComponent(float(p), dens) for p, dens in zip(weights / weights.sum(), densities)])
+    return mixture, CostMatrix(cost.reshape(k, k)), draw(st.integers(0, 2**32))
+
+
+@PROPERTY
+@given(interval_mixtures())
+def test_bayes_risk_bounds_the_constant_rules_and_matches_monte_carlo(case):
+    mixture, cost, seed = case
+    risk = bayes_risk(mixture, cost)
+    for d in range(mixture.label_count):
+        assert risk <= mixture.priors @ cost.values[:, d] + 1e-12
+    for rule in (bayes_classifier(mixture, cost), randomized_bayes_classifier(mixture, cost)):
+        # the standard error is 0 when every decision costs the same
+        est = monte_carlo_cost(mixture, cost, rule, 4000, seed)
+        assert abs(est.mean_cost - risk) <= 4.0 * est.standard_error + 1e-12
 
 
 class _Agent:

@@ -74,6 +74,16 @@ class TestLoading:
         with pytest.raises(InputError, match=r"g\.csv:3: record 'r2'/'q1' has an empty group"):
             load_survey_csv(path)
 
+    def test_empty_question_names_the_line(self, tmp_path):
+        path = write_csv(tmp_path / "q.csv", [("r1", "g1", "q1", 3), ("r2", "g2", " ", 4), ("r3", "", "", 4)])
+        with pytest.raises(InputError, match=r"q\.csv:3: record 'r2' in group 'g2' has an empty question"):
+            load_survey_csv(path)
+
+    def test_empty_group_wins_over_empty_question_in_one_record(self, tmp_path):
+        path = write_csv(tmp_path / "gq.csv", [("r1", "g1", "q1", 3), ("r2", "", "", 4)])
+        with pytest.raises(InputError, match=r"gq\.csv:3: record 'r2'/'' has an empty group"):
+            load_survey_csv(path)
+
     def test_byte_order_mark_and_crlf_line_endings(self, tmp_path):
         path = tmp_path / "excel.csv"
         path.write_bytes("\ufeffrespondent_id,group,question,response\r\nr1,g1,q1,3\r\n\r\nr2,g1,q1,\r\n".encode())
@@ -100,6 +110,10 @@ class TestDatasetValidation:
     def test_empty_group_name_rejected(self):
         with pytest.raises(InputError, match="empty group"):
             SurveyDataset((SurveyRecord("r1", "", "q1", 3),))
+
+    def test_empty_question_rejected(self):
+        with pytest.raises(InputError, match="record 'r1' in group 'g1' has an empty question"):
+            SurveyDataset((SurveyRecord("r1", "g1", "", 3),))
 
     def test_response_range_checked(self):
         with pytest.raises(InputError):
