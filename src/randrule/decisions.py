@@ -21,7 +21,15 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import InputError
-from .mixtures import IsotropicGaussian, Mixture, UniformInterval, _sample_arrays, _weighted_densities, posterior
+from .mixtures import (
+    _CHUNK_ROWS,
+    IsotropicGaussian,
+    Mixture,
+    UniformInterval,
+    _sample_arrays,
+    _weighted_densities,
+    posterior,
+)
 from .rng import generator
 
 __all__ = [
@@ -88,6 +96,8 @@ class DeterministicClassifier:
         labels = np.asarray(self.batch_rule(X), dtype=np.int64)
         if labels.shape != (X.shape[0],):
             raise InputError(f"classifier {self.name!r} returned labels of shape {labels.shape}")
+        if labels.size and not 0 <= labels.min() <= labels.max() < self.label_count:
+            raise InputError(f"classifier {self.name!r} returned a label outside 0..{self.label_count - 1}")
         return labels
 
     def distribution(self, x) -> np.ndarray:
@@ -124,9 +134,14 @@ class RandomizedClassifier:
 
     def realize_batch(self, X: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
         """Resolve each row's distribution with one [0,1) uniform (inverse CDF)."""
-        cum = np.cumsum(self.distributions(X), axis=1)
-        picks = (uniforms[:, None] >= cum).sum(axis=1)
-        return np.minimum(picks, self.label_count - 1).astype(np.int64)
+        probs = self.distributions(X)
+        # column by column, the same sequential sums as a row-wise cumsum
+        cum = np.zeros(len(probs))
+        picks = np.zeros(len(probs), dtype=np.int64)
+        for c in range(self.label_count):
+            cum += probs[:, c]
+            picks += uniforms >= cum
+        return np.minimum(picks, self.label_count - 1)
 
     def decide(self, x, seed: int) -> int:
         """One realized decision; same (x, seed) always gives the same label."""
@@ -137,14 +152,26 @@ class RandomizedClassifier:
 Classifier = Union[DeterministicClassifier, RandomizedClassifier]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CostEstimate:
-    """Monte Carlo mean cost with its standard error; reproducible from seed."""
+    """Monte Carlo mean cost with its standard error; reproducible from seed.
+
+    ``confusion[label, decision]`` counts the sampled cases of each true
+    label and decision; it is a read-only int64 array that sums to ``n``.
+    """
 
     mean_cost: float
     standard_error: float
     n: int
     seed: int
+    confusion: np.ndarray
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CostEstimate):
+            return NotImplemented
+        return (self.mean_cost, self.standard_error, self.n, self.seed) == (
+            other.mean_cost, other.standard_error, other.n, other.seed
+        ) and np.array_equal(self.confusion, other.confusion)
 
 
 def _check_cost(mixture: Mixture, cost: CostMatrix) -> None:
@@ -312,18 +339,34 @@ def monte_carlo_cost(
     the cases, stream 1 supplies one uniform per case for randomized
     decisions. Case ``i`` always consumes position ``i`` of each stream, so
     the estimate does not depend on evaluation order and is bit-reproducible.
+
+    The cases stream through in chunks of ``_CHUNK_ROWS``: each chunk is
+    sampled, decided and reduced to its per-case costs and confusion counts
+    before the next is drawn. The per-case costs vector is the only array of
+    length ``n``; the mean and standard error are taken over it at the end,
+    so neither depends on the chunk size.
     """
     _check_cost(mixture, cost)
     if n < 1:
         raise InputError(f"sample size must be >= 1, got {n}")
     if classifier.label_count != mixture.label_count:
         raise InputError("classifier and mixture disagree on the number of classes")
-    X, labels = _sample_arrays(mixture, n, generator(seed, 0))
-    if isinstance(classifier, DeterministicClassifier):
-        decisions = classifier.decide_batch(X)
-    else:
-        u = generator(seed, 1).random(n)
-        decisions = classifier.realize_batch(X, u)
-    costs = cost.values[labels, decisions]
+    k = mixture.label_count
+    cases, coins = generator(seed, 0), generator(seed, 1)
+    flat_cost = cost.values.ravel()
+    costs = np.empty(n)
+    confusion = np.zeros(k * k, dtype=np.int64)
+    for start in range(0, n, _CHUNK_ROWS):
+        rows = min(_CHUNK_ROWS, n - start)
+        X, labels = _sample_arrays(mixture, rows, cases)
+        if isinstance(classifier, DeterministicClassifier):
+            decisions = classifier.decide_batch(X)
+        else:
+            decisions = classifier.realize_batch(X, coins.random(rows))
+        flat = labels * k + decisions
+        costs[start : start + rows] = flat_cost[flat]
+        confusion += np.bincount(flat, minlength=k * k)
     se = float(costs.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return CostEstimate(float(costs.mean()), se, n, seed)
+    confusion = confusion.reshape(k, k)
+    confusion.flags.writeable = False
+    return CostEstimate(float(costs.mean()), se, n, seed, confusion)

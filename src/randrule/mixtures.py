@@ -12,6 +12,14 @@ the widest per-case transform budget over the components (1 for an interval,
 ``i``: column 0 picks the label by inverse-CDF over the prior cumsum, and
 the remaining columns feed that label's density transform. Row-indexed
 consumption makes the result independent of evaluation order or batching.
+
+Each density kind's transform runs once over all rows, its parameters
+gathered by label, so no class is masked or copied out. Consecutive draws
+from one generator give the same table as one draw of all rows, so cases
+are sampled in chunks of ``_CHUNK_ROWS``: ``sample_case_arrays`` fills its
+output chunk by chunk, and ``decisions.monte_carlo_cost`` decides and
+reduces each chunk before it draws the next, so its per-case costs vector
+is the only array it holds of length ``n``.
 """
 
 from __future__ import annotations
@@ -47,6 +55,7 @@ __all__ = [
 LabelId = int
 
 PRIOR_SUM_TOL = 1e-12
+_CHUNK_ROWS = 1 << 14  # cases sampled at a time, so each chunk's arrays stay in cache
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -246,27 +255,34 @@ def _uniform_budget(density: Density) -> int:
     return 2 * pairs
 
 
-def _transform(density: Density, u: np.ndarray) -> np.ndarray:
-    """Map a block of per-case uniforms to samples of ``density``."""
-    if isinstance(density, UniformInterval):
-        return (density.lo + (density.hi - density.lo) * u[:, 0]).reshape(-1, 1)
-    z = box_muller(u[:, : _uniform_budget(density)])
-    return density.mean + math.sqrt(density.lam) * z[:, : density.dimension]
-
-
 def _sample_arrays(mixture: Mixture, n: int, gen: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    if n < 1:
-        raise InputError(f"sample size must be >= 1, got {n}")
+    """The next ``n`` cases of ``gen``'s stream."""
+    k, d = mixture.label_count, mixture.dimension
+    # per-label parameters of both kinds; the other kind's slots stay harmless
+    is_interval, lo, span = np.zeros(k, dtype=bool), np.zeros(k), np.zeros(k)
+    means, lam = np.zeros((k, d)), np.ones(k)
+    for j, comp in enumerate(mixture.components):
+        f = comp.density
+        if isinstance(f, UniformInterval):
+            is_interval[j], lo[j], span[j] = True, f.lo, f.hi - f.lo
+        else:
+            means[j], lam[j] = f.mean, f.lam
     width = max(_uniform_budget(c.density) for c in mixture.components)
     table = gen.random((n, 1 + width))
-    cum = np.cumsum(mixture.priors)
-    labels = np.searchsorted(cum, table[:, 0], side="right")
-    labels = np.minimum(labels, mixture.label_count - 1).astype(np.int64)
-    X = np.empty((n, mixture.dimension))
-    for j, comp in enumerate(mixture.components):
-        mask = labels == j
-        if np.any(mask):
-            X[mask] = _transform(comp.density, table[mask, 1:])
+    # inverse CDF: the label counts the inner prior-cumsum boundaries that column 0
+    # passes, one pass per boundary, which is searchsorted(side="right") without its
+    # unpredictable branches
+    labels = np.zeros(n, dtype=np.int64)
+    for bound in np.cumsum(mixture.priors)[:-1]:
+        labels += table[:, 0] >= bound
+    # each kind's transform runs once over every row, its parameters gathered by label
+    if is_interval.any():
+        X = (lo[labels] + span[labels] * table[:, 1]).reshape(-1, 1)
+    if not is_interval.all():
+        z = box_muller(table[:, 1:])  # a Gaussian's budget is the widest
+        gauss = means[labels] + np.sqrt(lam)[labels, None] * z[:, :d]
+        # only a 1-D mixture holds both kinds
+        X = np.where(is_interval[labels, None], X, gauss) if is_interval.any() else gauss
     return X, labels
 
 
@@ -276,7 +292,14 @@ def sample_case_arrays(mixture: Mixture, n: int, seed: int) -> tuple[np.ndarray,
     Identical seeds give bit-identical output, and the first m rows for a
     sample of size n coincide with the sample of size m for every m <= n.
     """
-    return _sample_arrays(mixture, n, generator(seed))
+    if n < 1:
+        raise InputError(f"sample size must be >= 1, got {n}")
+    gen = generator(seed)
+    X, labels = np.empty((n, mixture.dimension)), np.empty(n, dtype=np.int64)
+    for start in range(0, n, _CHUNK_ROWS):
+        stop = min(start + _CHUNK_ROWS, n)
+        X[start:stop], labels[start:stop] = _sample_arrays(mixture, stop - start, gen)
+    return X, labels
 
 
 def _density_from_dict(obj: dict) -> Density:

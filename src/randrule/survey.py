@@ -221,6 +221,7 @@ def load_survey_csv(path: str | Path, category_count: int = 5) -> SurveyDataset:
     table = {str(v): v for v in range(1, min(category_count, len(raw)) + 1)}
     table[""] = 0
     codes = list(map(table.get, raw))
+    stop = None  # (record, message): the first record the parse refused
     if None in codes:
         # other spellings of a code (03, +3, non-ASCII digits) and bad responses
         for i, code in enumerate(codes):
@@ -228,20 +229,29 @@ def load_survey_csv(path: str | Path, category_count: int = 5) -> SurveyDataset:
                 try:
                     code = int(raw[i])
                 except ValueError:
-                    raise InputError(f"{path}:{line(i)}: response {raw[i]!r} is not an integer") from None
+                    stop = i, f"response {raw[i]!r} is not an integer"
+                    break
                 if not 1 <= code <= category_count:
-                    raise InputError(f"{path}:{line(i)}: response {code} outside 1..{category_count}")
+                    stop = i, f"response {code} outside 1..{category_count}"
+                    break
                 codes[i] = code
-    if bad_row is not None:
-        raise InputError(f"{path}:{line(len(codes))}: {bad_row}")
-    if not codes:
+    if stop is None and bad_row is not None:
+        stop = len(codes), bad_row
+    if stop is not None:
+        del codes[stop[0] :]  # the records before the refused one are checked first
+    elif not codes:
         raise InputError(f"{path}: no records")
-    # the string columns live only until they are encoded
-    columns = _Columns(*(list(map(str.strip, fields[j::4])) for j in range(3)), np.array(codes))
     try:
-        return SurveyDataset._from_columns(columns, category_count)
+        if codes:
+            # the string columns live only until they are encoded
+            strings = (list(map(str.strip, fields[j : 4 * len(codes) : 4])) for j in range(3))
+            columns = _Columns(*strings, np.array(codes))
+            dataset = SurveyDataset._from_columns(columns, category_count)
     except _RowError as exc:
         raise InputError(f"{path}:{line(exc.row)}: {exc}") from exc
+    if stop is not None:
+        raise InputError(f"{path}:{line(stop[0])}: {stop[1]}")
+    return dataset
 
 
 @dataclass(frozen=True)

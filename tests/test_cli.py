@@ -381,6 +381,20 @@ class TestCompare:
         assert (code, out) == (2, "")
         assert err == f"error: category count must be >= 2, got {categories}\n"
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (["r1,,q1,3", "r2,g1,q1"], "2: record 'r1'/'q1' has an empty group"),
+            (["r1,g1,q1,3", "r1,g1,q1,2", "r3,g1,q1,9"], "3: duplicate response for respondent 'r1', question 'q1'"),
+        ],
+    )
+    def test_a_bad_record_before_a_row_the_parse_refuses_is_reported_first(self, capsys, tmp_path, rows, message):
+        path = tmp_path / "survey.csv"
+        path.write_text("\n".join(["respondent_id,group,question,response", *rows]) + "\n")
+        code, out, err = run(capsys, "compare", "--data", str(path), "--question", "q1", "--groups", "g1,g2")
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}:{message}\n"
+
     def test_categorical_question_is_refused(self, capsys, survey_file):
         code, _, err = run(
             capsys,

@@ -1,12 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from randrule import (
+    ClassComponent,
     CostMatrix,
+    DeterministicClassifier,
     InputError,
+    Mixture,
     RandomizedClassifier,
+    UniformInterval,
     UnsupportedEvidenceError,
     bayes_classifier,
     bayes_decide,
@@ -24,6 +29,7 @@ from randrule import (
     two_class_likelihood_rule,
     uniform_overlap_mixture,
 )
+from randrule import decisions
 
 ZERO_ONE = CostMatrix.zero_one(2)
 
@@ -434,6 +440,97 @@ class TestMonteCarlo:
     def test_cost_shape_mismatch_rejected(self):
         with pytest.raises(InputError):
             monte_carlo_cost(overlap(), CostMatrix.zero_one(3), constant_classifier(0, 2), 100, seed=1)
+
+
+COST_3 = CostMatrix([[0.0, 1.0, 4.0], [2.0, 0.0, 1.0], [1.0, 3.0, 0.0]])
+INTERVALS_3 = Mixture(
+    [
+        ClassComponent(0.2, UniformInterval(0.0, 2.0)),
+        ClassComponent(0.5, UniformInterval(1.0, 3.0)),
+        ClassComponent(0.3, UniformInterval(0.5, 1.5)),
+    ]
+)
+MEANS_3 = [[0.0, 0.0], [1.5, 0.5], [-0.5, 1.2]]
+WEIGHTED_3 = gaussian_mixture(MEANS_3, 0.8, priors=[0.5, 0.3, 0.2])
+EVEN_3 = gaussian_mixture(MEANS_3, 0.8)
+# (mixture, cost, classifier) of every rule kind Monte Carlo runs
+MC_CASES = {
+    "md": (overlap(), ZERO_ONE, overlap_deterministic(0.5, 1.0)),
+    "mr": (overlap(), ZERO_ONE, randomized_bayes_classifier(overlap(), ZERO_ONE)),
+    "bayes": (WEIGHTED_3, COST_3, bayes_classifier(WEIGHTED_3, COST_3)),
+    "nearest-mean": (EVEN_3, CostMatrix.zero_one(3), nearest_mean_classifier(EVEN_3)),
+    "intervals-bayes": (INTERVALS_3, COST_3, bayes_classifier(INTERVALS_3, COST_3)),
+    "intervals-mr": (INTERVALS_3, COST_3, randomized_bayes_classifier(INTERVALS_3, COST_3)),
+}
+
+
+class TestChunkedMonteCarlo:
+    @pytest.mark.parametrize("name", sorted(MC_CASES))
+    def test_estimate_does_not_depend_on_the_chunk_size(self, monkeypatch, name):
+        mixture, cost, rule = MC_CASES[name]
+        n = 1003
+        seen = []
+
+        def spy(method):
+            def wrapper(self, X, *args):
+                seen.append(len(X))
+                return method(self, X, *args)
+
+            return wrapper
+
+        monkeypatch.setattr(DeterministicClassifier, "decide_batch", spy(DeterministicClassifier.decide_batch))
+        monkeypatch.setattr(RandomizedClassifier, "realize_batch", spy(RandomizedClassifier.realize_batch))
+        results = []
+        for rows in (1, 7, n):
+            monkeypatch.setattr(decisions, "_CHUNK_ROWS", rows)
+            seen.clear()
+            est = monte_carlo_cost(mixture, cost, rule, n, seed=23)
+            assert max(seen) <= rows and sum(seen) == n
+            results.append((est.mean_cost.hex(), est.standard_error.hex(), est.confusion.tolist()))
+        assert results[0] == results[1] == results[2]
+
+    @pytest.mark.parametrize("name", sorted(MC_CASES))
+    def test_confusion_counts_every_case_and_gives_the_mean(self, name):
+        mixture, cost, rule = MC_CASES[name]
+        n = 50_001
+        est = monte_carlo_cost(mixture, cost, rule, n, seed=29)
+        k = mixture.label_count
+        assert est.confusion.shape == (k, k) and est.confusion.dtype == np.int64
+        assert not est.confusion.flags.writeable
+        assert est.confusion.sum() == n
+        assert (est.confusion * cost.values).sum() / n == pytest.approx(est.mean_cost, rel=1e-12)
+
+    def test_confusion_rows_are_labels_and_columns_are_decisions(self):
+        est = monte_carlo_cost(INTERVALS_3, COST_3, constant_classifier(2, 3), 10_000, seed=31)
+        assert est.confusion[:, :2].sum() == 0
+        # the labels follow the priors 0.2, 0.5, 0.3
+        assert np.allclose(est.confusion[:, 2] / 10_000, [0.2, 0.5, 0.3], atol=0.02)
+
+    def test_estimates_compare_by_value(self):
+        mixture, cost, rule = MC_CASES["mr"]
+        one = monte_carlo_cost(mixture, cost, rule, 1000, seed=3)
+        assert one == monte_carlo_cost(mixture, cost, rule, 1000, seed=3)
+        assert one != monte_carlo_cost(mixture, cost, rule, 1000, seed=4)
+
+    def test_a_label_outside_the_classes_is_refused(self):
+        rule = DeterministicClassifier(2, lambda X: np.full(X.shape[0], 2), name="two")
+        with pytest.raises(InputError, match="outside 0..1"):
+            monte_carlo_cost(overlap(), ZERO_ONE, rule, 100, seed=1)
+
+    @pytest.mark.parametrize("which", ["bayes", "nearest-mean"])
+    def test_memory_stays_near_the_costs_vector(self, which):
+        mixture = gaussian_mixture(np.random.default_rng(3).normal(size=(10, 8)), 0.8)
+        cost = CostMatrix.zero_one(10)
+        rule = bayes_classifier(mixture, cost) if which == "bayes" else nearest_mean_classifier(mixture)
+        n = 200_000
+        tracemalloc.start()
+        try:
+            monte_carlo_cost(mixture, cost, rule, n, seed=7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the costs vector and the standard deviation's temporary, plus one chunk's work
+        assert peak < 24 * n + 4 * 2**20
 
 
 class TestExactClassifierCost:

@@ -20,6 +20,8 @@ from randrule import (
     sample_case_arrays,
     uniform_overlap_mixture,
 )
+from randrule import mixtures
+from randrule.rng import box_muller, generator
 
 
 def two_uniform(a=0.5, b=1.0):
@@ -202,6 +204,72 @@ class TestSampling:
         cls = X[labels == 0]
         assert np.max(np.abs(cls.mean(axis=0))) < 0.03
         assert np.max(np.abs(cls.var(axis=0) - 2.0)) < 0.06
+
+
+def masked_transform(density, u):
+    """Map a block of per-case uniforms to samples of one density."""
+    if isinstance(density, UniformInterval):
+        return (density.lo + (density.hi - density.lo) * u[:, 0]).reshape(-1, 1)
+    z = box_muller(u)
+    return density.mean + math.sqrt(density.lam) * z[:, : density.dimension]
+
+
+def masked_sample(mixture, n, seed):
+    """The sampler before gathering, kept as the oracle: one boolean mask, copy
+    and transform per class over the same ``(n, 1 + w)`` uniform table."""
+    budgets = [1 if isinstance(c.density, UniformInterval) else 2 * ((c.density.dimension + 1) // 2)
+               for c in mixture.components]
+    table = generator(seed).random((n, 1 + max(budgets)))
+    labels = np.searchsorted(np.cumsum(mixture.priors), table[:, 0], side="right")
+    labels = np.minimum(labels, mixture.label_count - 1).astype(np.int64)
+    X = np.empty((n, mixture.dimension))
+    for j, comp in enumerate(mixture.components):
+        mask = labels == j
+        if np.any(mask):
+            X[mask] = masked_transform(comp.density, table[mask, 1 : 1 + budgets[j]])
+    return X, labels
+
+
+_rng = np.random.default_rng(17)
+ORACLE_MIXTURES = {
+    "intervals": Mixture(
+        [
+            ClassComponent(0.2, UniformInterval(0.0, 2.0)),
+            ClassComponent(0.5, UniformInterval(1.0, 3.0)),
+            ClassComponent(0.3, UniformInterval(0.5, 1.5)),
+        ]
+    ),
+    "gaussians-3d": gaussian_mixture(_rng.normal(size=(3, 3)), 0.6, priors=[0.5, 0.3, 0.2]),
+    "gaussians-8d": gaussian_mixture(_rng.normal(size=(10, 8)), 0.8),
+    "interval-and-gaussian": Mixture(
+        [
+            ClassComponent(0.4, UniformInterval(-1.0, 2.5)),
+            ClassComponent(0.6, IsotropicGaussian(np.array([0.3]), 2.2)),
+        ]
+    ),
+    "zero-prior": gaussian_mixture([[0.0, 1.0], [2.0, 2.0], [-1.0, 0.5]], 1.3, priors=[0.5, 0.0, 0.5]),
+    "gaussians-5d-x20": gaussian_mixture(_rng.normal(size=(20, 5)), 1.1, priors=np.arange(1, 21) / 210),
+}
+
+
+class TestGatheredSampling:
+    @pytest.mark.parametrize("n", [1, 7, 10_007, 40_009])
+    @pytest.mark.parametrize("name", sorted(ORACLE_MIXTURES))
+    def test_bytes_match_the_masked_sampler(self, name, n):
+        mixture = ORACLE_MIXTURES[name]
+        X, labels = sample_case_arrays(mixture, n, seed=5)
+        X_want, labels_want = masked_sample(mixture, n, 5)
+        assert X.shape == X_want.shape and X.tobytes() == X_want.tobytes()
+        assert labels.tobytes() == labels_want.tobytes()
+
+    @pytest.mark.parametrize("rows", [1, 7])
+    @pytest.mark.parametrize("name", ["intervals", "gaussians-3d", "interval-and-gaussian"])
+    def test_bytes_do_not_depend_on_the_chunk_size(self, monkeypatch, name, rows):
+        mixture = ORACLE_MIXTURES[name]
+        X, labels = sample_case_arrays(mixture, 1003, seed=5)
+        monkeypatch.setattr(mixtures, "_CHUNK_ROWS", rows)
+        X_chunked, labels_chunked = sample_case_arrays(mixture, 1003, seed=5)
+        assert X_chunked.tobytes() == X.tobytes() and labels_chunked.tobytes() == labels.tobytes()
 
 
 class TestJson:

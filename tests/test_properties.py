@@ -197,9 +197,11 @@ def row_by_row_load(path, category_count):
     the per-record validation and index of the old ``SurveyDataset.__post_init__``.
 
     Returns (records, groups, index). Its dataset errors read ``{path}: ...``;
-    here they name the record's line as the columnar loader does.
+    here they name the record's line as the columnar loader does. A row the
+    parse refuses stops the read, but a dataset error in an earlier record
+    comes first in file order, so it wins.
     """
-    records, lines = [], []
+    records, lines, stop = [], [], None
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -211,7 +213,8 @@ def row_by_row_load(path, category_count):
             if not row:
                 continue
             if len(row) != 4:
-                raise InputError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
+                stop = InputError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
+                break
             respondent, group, question, raw = (field.strip() for field in row)
             if raw == "":
                 response = None
@@ -219,12 +222,14 @@ def row_by_row_load(path, category_count):
                 try:
                     response = int(raw)
                 except ValueError:
-                    raise InputError(f"{path}:{lineno}: response {raw!r} is not an integer") from None
+                    stop = InputError(f"{path}:{lineno}: response {raw!r} is not an integer")
+                    break
                 if not 1 <= response <= category_count:
-                    raise InputError(f"{path}:{lineno}: response {response} outside 1..{category_count}")
+                    stop = InputError(f"{path}:{lineno}: response {response} outside 1..{category_count}")
+                    break
             records.append(SurveyRecord(respondent, group, question, response))
             lines.append(lineno)
-    if not records:
+    if not records and stop is None:
         raise InputError(f"{path}: no records")
     seen, groups, index = set(), {}, {}
     for rec, lineno in zip(records, lines):
@@ -240,6 +245,8 @@ def row_by_row_load(path, category_count):
         answers = index.setdefault(rec.question, {}).setdefault(rec.group, [])
         if rec.response is not None:
             answers.append(rec.response)
+    if stop is not None:
+        raise stop
     return records, list(groups), index
 
 
