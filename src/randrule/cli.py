@@ -130,7 +130,7 @@ def _cmd_classify_demo(args: argparse.Namespace) -> int:
 
 
 def _parse_game(args: argparse.Namespace):
-    if getattr(args, "harm", None):
+    if args.harm:
         try:
             m_x, v_x, m_y, v_y = (float(t) for t in args.harm.split(","))
         except ValueError:
@@ -270,6 +270,14 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--format", choices=["table", "csv"], default="table", help="stdout format")
     seeded = argparse.ArgumentParser(add_help=False, parents=[shared])
     seeded.add_argument("--seed", type=_seed, default=0, help="64-bit seed for anything stochastic")
+    game_args = argparse.ArgumentParser(add_help=False, parents=[seeded])
+    game_args.add_argument("--game", help="mp|rps|game JSON (path or inline)")
+    game_args.add_argument("--harm", help="harm scenario mX,vX,mY,vY (overrides --game)")
+    survey_args = argparse.ArgumentParser(add_help=False, parents=[shared])
+    survey_args.add_argument("--data", required=True, help="survey CSV path")
+    survey_args.add_argument("--alpha", type=float, default=0.05)
+    survey_args.add_argument("--categories", type=int, default=5, help="number of response categories")
+    survey_args.add_argument("--categorical", help="unordered question ids: grouped bars, no rank test")
 
     parser = argparse.ArgumentParser(prog="randrule", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -281,16 +289,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=100_000, help="number of sampled cases")
     p.set_defaults(func=_cmd_classify_demo)
 
-    p = sub.add_parser("solve-game", parents=[seeded], help="equilibrium of a zero-sum game")
-    p.add_argument("--game", help="mp|rps|game JSON (path or inline)")
-    p.add_argument("--harm", help="harm scenario mX,vX,mY,vY (overrides --game)")
+    p = sub.add_parser("solve-game", parents=[game_args], help="equilibrium of a zero-sum game")
     p.add_argument("--method", choices=["exact", "fp"], default="exact")
     p.add_argument("--iters", type=int, default=100_000, help="fictitious-play iterations")
     p.set_defaults(func=_cmd_solve_game)
 
-    p = sub.add_parser("simulate-repeated", parents=[seeded], help="repeated play between two policies")
-    p.add_argument("--game", help="mp|rps|game JSON (path or inline)")
-    p.add_argument("--harm", help="harm scenario mX,vX,mY,vY (overrides --game)")
+    p = sub.add_parser("simulate-repeated", parents=[game_args], help="repeated play between two policies")
     p.add_argument("--row", required=True, help="pure:i|mixed:p1,p2,...|exploiter")
     p.add_argument("--col", required=True, help="pure:i|mixed:p1,p2,...|exploiter")
     p.add_argument("--rounds", type=int, default=1000)
@@ -302,22 +306,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y", required=True, help="comma-separated sample values")
     p.set_defaults(func=_cmd_mwu)
 
-    p = sub.add_parser("compare", parents=[shared], help="rank-compare two groups from a survey CSV")
-    p.add_argument("--data", required=True, help="survey CSV path")
+    p = sub.add_parser("compare", parents=[survey_args], help="rank-compare two groups from a survey CSV")
     p.add_argument("--question", required=True)
     p.add_argument("--groups", required=True, help="two comma-separated group names")
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--categories", type=int, default=5, help="number of response categories")
-    p.add_argument("--categorical", help="question ids whose options are unordered")
     p.set_defaults(func=_cmd_compare)
 
-    p = sub.add_parser("report", parents=[shared], help="full per-question report: charts plus comparisons")
-    p.add_argument("--data", required=True, help="survey CSV path")
+    p = sub.add_parser("report", parents=[survey_args], help="full per-question report: charts plus comparisons")
     p.add_argument("--questions", help="comma-separated question ids (default: all)")
     p.add_argument("--groups", help="comma-separated group names (default: all)")
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--categories", type=int, default=5, help="number of response categories")
-    p.add_argument("--categorical", help="question ids charted as grouped bars, no rank test")
     p.add_argument("--labels", help="comma-separated category labels")
     p.add_argument("--neutral-index", type=int, default=None, help="0-based neutral category index")
     p.add_argument("--out-dir", default=".", help="directory for the CSV and SVG files")

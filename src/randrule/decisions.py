@@ -22,15 +22,14 @@ import numpy as np
 
 from .errors import InputError
 from .mixtures import (
-    _CHUNK_ROWS,
     IsotropicGaussian,
     Mixture,
     UniformInterval,
-    _sample_arrays,
+    _case_chunks,
     _weighted_densities,
     posterior,
 )
-from .rng import generator
+from .rng import generator, inverse_cdf
 
 __all__ = [
     "CostMatrix",
@@ -133,15 +132,8 @@ class RandomizedClassifier:
         return probs
 
     def realize_batch(self, X: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-        """Resolve each row's distribution with one [0,1) uniform (inverse CDF)."""
-        probs = self.distributions(X)
-        # column by column, the same sequential sums as a row-wise cumsum
-        cum = np.zeros(len(probs))
-        picks = np.zeros(len(probs), dtype=np.int64)
-        for c in range(self.label_count):
-            cum += probs[:, c]
-            picks += uniforms >= cum
-        return np.minimum(picks, self.label_count - 1)
+        """Resolve each row's distribution with one [0,1) uniform (``rng.inverse_cdf``)."""
+        return inverse_cdf(self.distributions(X), uniforms)
 
     def decide(self, x, seed: int) -> int:
         """One realized decision; same (x, seed) always gives the same label."""
@@ -340,11 +332,11 @@ def monte_carlo_cost(
     decisions. Case ``i`` always consumes position ``i`` of each stream, so
     the estimate does not depend on evaluation order and is bit-reproducible.
 
-    The cases stream through in chunks of ``_CHUNK_ROWS``: each chunk is
-    sampled, decided and reduced to its per-case costs and confusion counts
-    before the next is drawn. The per-case costs vector is the only array of
-    length ``n``; the mean and standard error are taken over it at the end,
-    so neither depends on the chunk size.
+    The cases stream through in the chunks of ``mixtures._case_chunks``:
+    each chunk is sampled, decided and reduced to its per-case costs and
+    confusion counts before the next is drawn. The per-case costs vector is
+    the only array of length ``n``; the mean and standard error are taken
+    over it at the end, so neither depends on the chunk size.
     """
     _check_cost(mixture, cost)
     if n < 1:
@@ -352,13 +344,12 @@ def monte_carlo_cost(
     if classifier.label_count != mixture.label_count:
         raise InputError("classifier and mixture disagree on the number of classes")
     k = mixture.label_count
-    cases, coins = generator(seed, 0), generator(seed, 1)
+    coins = generator(seed, 1)
     flat_cost = cost.values.ravel()
     costs = np.empty(n)
     confusion = np.zeros(k * k, dtype=np.int64)
-    for start in range(0, n, _CHUNK_ROWS):
-        rows = min(_CHUNK_ROWS, n - start)
-        X, labels = _sample_arrays(mixture, rows, cases)
+    for start, X, labels in _case_chunks(mixture, n, generator(seed, 0)):
+        rows = labels.size
         if isinstance(classifier, DeterministicClassifier):
             decisions = classifier.decide_batch(X)
         else:

@@ -5,19 +5,21 @@ class carries a prior weight and a density (a one-dimensional interval or an
 isotropic Gaussian). Labels are the integer positions ``0..k-1`` of the
 components.
 
-Sampling is seed-deterministic. ``sample_case_arrays`` draws one
-``(n, 1 + w)`` table of uniforms from the seeded generator, where ``w`` is
-the widest per-case transform budget over the components (1 for an interval,
+Sampling is seed-deterministic. Cases are drawn from one ``(n, 1 + w)``
+table of uniforms from a seeded generator, where ``w`` is the widest
+per-case transform budget over the components (1 for an interval,
 ``2*ceil(d/2)`` for a d-dimensional Gaussian). Case ``i`` consumes only row
-``i``: column 0 picks the label by inverse-CDF over the prior cumsum, and
-the remaining columns feed that label's density transform. Row-indexed
+``i``: column 0 picks the label with ``rng.inverse_cdf`` over the priors,
+and the remaining columns feed that label's density transform. Row-indexed
 consumption makes the result independent of evaluation order or batching.
 
 Each density kind's transform runs once over all rows, its parameters
 gathered by label, so no class is masked or copied out. Consecutive draws
-from one generator give the same table as one draw of all rows, so cases
-are sampled in chunks of ``_CHUNK_ROWS``: ``sample_case_arrays`` fills its
-output chunk by chunk, and ``decisions.monte_carlo_cost`` decides and
+from one generator give the same table as one draw of all rows, so
+``_case_chunks`` yields the cases in chunks of ``_CHUNK_ROWS``, the one
+binding of the chunk size. ``sample_case_arrays`` fills its output chunk by
+chunk from ``generator(seed)``. ``decisions.monte_carlo_cost`` draws its
+cases from ``_case_chunks`` on sub-stream 0 of its seed, and decides and
 reduces each chunk before it draws the next, so its per-case costs vector
 is the only array it holds of length ``n``.
 """
@@ -33,7 +35,7 @@ import numpy as np
 
 from .errors import InputError, UnsupportedEvidenceError
 from .jsonio import read_json_source
-from .rng import box_muller, generator
+from .rng import box_muller, generator, inverse_cdf
 
 __all__ = [
     "LabelId",
@@ -248,42 +250,34 @@ def posterior(mixture: Mixture, x) -> np.ndarray:
     return posterior_matrix(mixture, mixture._as_evidence(x))[0]
 
 
-def _uniform_budget(density: Density) -> int:
-    if isinstance(density, UniformInterval):
-        return 1
-    pairs = (density.dimension + 1) // 2
-    return 2 * pairs
-
-
-def _sample_arrays(mixture: Mixture, n: int, gen: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """The next ``n`` cases of ``gen``'s stream."""
+def _case_chunks(mixture: Mixture, n: int, gen: np.random.Generator):
+    """Yield ``(start, X, labels)`` for the next ``n`` cases of ``gen``'s stream, ``_CHUNK_ROWS`` at a time."""
     k, d = mixture.label_count, mixture.dimension
     # per-label parameters of both kinds; the other kind's slots stay harmless
     is_interval, lo, span = np.zeros(k, dtype=bool), np.zeros(k), np.zeros(k)
-    means, lam = np.zeros((k, d)), np.ones(k)
+    means, scale = np.zeros((k, d)), np.ones(k)
     for j, comp in enumerate(mixture.components):
         f = comp.density
         if isinstance(f, UniformInterval):
             is_interval[j], lo[j], span[j] = True, f.lo, f.hi - f.lo
         else:
-            means[j], lam[j] = f.mean, f.lam
-    width = max(_uniform_budget(c.density) for c in mixture.components)
-    table = gen.random((n, 1 + width))
-    # inverse CDF: the label counts the inner prior-cumsum boundaries that column 0
-    # passes, one pass per boundary, which is searchsorted(side="right") without its
-    # unpredictable branches
-    labels = np.zeros(n, dtype=np.int64)
-    for bound in np.cumsum(mixture.priors)[:-1]:
-        labels += table[:, 0] >= bound
-    # each kind's transform runs once over every row, its parameters gathered by label
-    if is_interval.any():
-        X = (lo[labels] + span[labels] * table[:, 1]).reshape(-1, 1)
-    if not is_interval.all():
-        z = box_muller(table[:, 1:])  # a Gaussian's budget is the widest
-        gauss = means[labels] + np.sqrt(lam)[labels, None] * z[:, :d]
-        # only a 1-D mixture holds both kinds
-        X = np.where(is_interval[labels, None], X, gauss) if is_interval.any() else gauss
-    return X, labels
+            means[j], scale[j] = f.mean, math.sqrt(f.lam)
+    # the widest transform budget: 1 for an interval, 2*ceil(d/2) for a Gaussian
+    width = 1 if is_interval.all() else 2 * ((d + 1) // 2)
+    priors = mixture.priors
+    for start in range(0, n, _CHUNK_ROWS):
+        table = gen.random((min(_CHUNK_ROWS, n - start), 1 + width))
+        labels = inverse_cdf(priors, table[:, 0])
+        # each kind's transform runs once over every row, its parameters gathered by label
+        if is_interval.any():
+            X = (lo[labels] + span[labels] * table[:, 1]).reshape(-1, 1)
+        if not is_interval.all():
+            z = box_muller(table[:, 1:])  # a Gaussian's budget is the widest
+            gauss = means[labels] + scale[labels, None] * z[:, :d]
+            # only a 1-D mixture holds both kinds
+            X = np.where(is_interval[labels, None], X, gauss) if is_interval.any() else gauss
+        table = z = gauss = None  # the caller decides the chunk without the sampling temporaries
+        yield start, X, labels
 
 
 def sample_case_arrays(mixture: Mixture, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -291,14 +285,16 @@ def sample_case_arrays(mixture: Mixture, n: int, seed: int) -> tuple[np.ndarray,
 
     Identical seeds give bit-identical output, and the first m rows for a
     sample of size n coincide with the sample of size m for every m <= n.
+    The cases come from ``_case_chunks`` on ``generator(seed)``; Monte Carlo
+    draws its cases from sub-stream 0 of its seed instead, so this is not
+    the sample that ``monte_carlo_cost(..., n, seed)`` evaluates.
     """
     if n < 1:
         raise InputError(f"sample size must be >= 1, got {n}")
-    gen = generator(seed)
     X, labels = np.empty((n, mixture.dimension)), np.empty(n, dtype=np.int64)
-    for start in range(0, n, _CHUNK_ROWS):
-        stop = min(start + _CHUNK_ROWS, n)
-        X[start:stop], labels[start:stop] = _sample_arrays(mixture, stop - start, gen)
+    for start, chunk_X, chunk_labels in _case_chunks(mixture, n, generator(seed)):
+        stop = start + chunk_labels.size
+        X[start:stop], labels[start:stop] = chunk_X, chunk_labels
     return X, labels
 
 

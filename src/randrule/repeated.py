@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InputError
 from .games import MixedStrategy, NormalFormGame, _best_responses, game_value
-from .rng import generator
+from .rng import generator, inverse_cdf
 
 __all__ = [
     "PurePolicy",
@@ -48,17 +48,14 @@ class MixedPolicy:
     strategy: MixedStrategy
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class FrequencyExploiter:
     """Best-respond to the opponent's empirical action counts.
 
-    ``virtual_counts`` (over the opponent's actions) seed the counts so the
-    first round has a defined best response; ``None`` means one virtual
-    observation per action. Exact-tie best responses are broken by the
-    match's seeded uniforms.
+    The counts start at one virtual observation per opponent action, so the
+    first round has a defined best response. Exact-tie best responses are
+    broken by the match's seeded uniforms.
     """
-
-    virtual_counts: np.ndarray | None = None
 
 
 AgentPolicy = Union[PurePolicy, MixedPolicy, FrequencyExploiter]
@@ -113,7 +110,7 @@ class ExploitabilityReport:
 
 def _plan(policy: AgentPolicy, n_actions: int, n_opponent: int, side: str, u: np.ndarray):
     """(actions, counts) of one side: all actions of a history-free policy, or an
-    exploiter's validated counts of opponent actions and an array the loop fills."""
+    exploiter's starting counts of opponent actions and an array the loop fills."""
     if isinstance(policy, PurePolicy):
         if not isinstance(policy.action, (int, np.integer)):
             raise InputError(f"{side} pure action {policy.action!r} is not an integer")
@@ -125,15 +122,9 @@ def _plan(policy: AgentPolicy, n_actions: int, n_opponent: int, side: str, u: np
             raise InputError(
                 f"{side} mixed strategy has {policy.strategy.n_actions} entries, game offers {n_actions} actions"
             )
-        cum = np.cumsum(policy.strategy.probs)
-        return np.minimum(np.searchsorted(cum, u, side="right"), cum.size - 1), None
+        return inverse_cdf(policy.strategy.probs, u), None
     if isinstance(policy, FrequencyExploiter):
-        counts = policy.virtual_counts
-        counts = np.ones(n_opponent) if counts is None else np.array(counts, dtype=float)
-        valid = counts.shape == (n_opponent,) and np.all(np.isfinite(counts) & (counts >= 0)) and counts.sum() > 0
-        if not valid:
-            raise InputError(f"{side} exploiter needs {n_opponent} finite non-negative virtual counts, not all zero")
-        return np.empty(u.size, dtype=np.int64), counts
+        return np.empty(u.size, dtype=np.int64), np.ones(n_opponent)
     raise InputError(f"unknown policy type {type(policy).__name__}")
 
 

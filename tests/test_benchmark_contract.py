@@ -2,7 +2,9 @@
 
 ``perfbench/tracing.py`` times each layer by rebinding module globals and
 class methods of the package. If a refactor moves one, that layer reads 0 at
-the next benchmark run instead of failing; these tests fail first.
+the next benchmark run instead of failing; these tests fail first. One traced
+op of a small instance of each workload checks that every layer the workload
+uses reads non-zero.
 """
 
 import sys
@@ -45,3 +47,49 @@ def test_compare_groups_calls_the_survey_modules_mann_whitney_u(monkeypatch):
     records = [SurveyRecord(f"r{i}", "ab"[i % 2], "q1", 1 + i % 5) for i in range(10)]
     compare_groups(SurveyDataset(records), "q1", "a", "b")
     assert len(calls) == 1
+
+
+# smaller instances of each workload: the smoke checks wiring, not speed
+SMALL = {
+    "mc-overlap": {"n": 20_000},
+    "mc-gauss": {"n": 5_000},
+    "play": {"iters": 500, "rounds": 500, "report_rounds": 100},
+    "survey-report": {"group_sizes": (60, 40, 20, 14)},
+}
+
+
+def traced_op(tracing, name, workdir):
+    """(layer metrics, workload) of one traced op of a small instance of the workload.
+
+    The op is not checked: at 500 iterations FP is no 0.05-Nash equilibrium.
+    """
+    workload = type(name, (tracing.workloads.WORKLOADS[name],), SMALL[name])(7, workdir)
+    tracer = tracing.Tracer(layers=True)
+    with tracer.installed():
+        tracer.run_op(0, workload.op)
+    tracer.probe(0)
+    spans = tracer.spans
+    return tracing._per_op(spans, tracing._self_ns(spans), list(range(len(spans)))), workload
+
+
+@pytest.mark.parametrize("name, width", [("mc-overlap", 1), ("mc-gauss", 8)])
+def test_monte_carlo_workloads_trace_sampling_decisions_and_reduction(tracing, tmp_path, name, width):
+    metrics, workload = traced_op(tracing, name, tmp_path)
+    for layer in ("mixtures.sample_ms", "decisions.decide_ms", "decisions.reduce_ms"):
+        assert metrics[layer] > 0, layer
+    # two Monte Carlo calls, each drawing an (n, 1 + width) table of uniforms
+    assert metrics["mixtures.uniforms"] == 2 * workload.n * (1 + width)
+
+
+def test_play_traces_fictitious_play_matches_the_trace_and_the_value(tracing, tmp_path):
+    metrics, _ = traced_op(tracing, "play", tmp_path)
+    for layer in ("games.fp_ms", "repeated.run_ms", "repeated.trace_csv_ms", "games.value_ms"):
+        assert metrics[layer] > 0, layer
+
+
+def test_survey_report_traces_loading_rank_tests_and_charts(tracing, tmp_path):
+    metrics, _ = traced_op(tracing, "survey-report", tmp_path)
+    for layer in ("survey.load_ms", "report.bytes_written"):
+        assert metrics[layer] > 0, layer
+    # 5 ordinal questions x 6 pairs of the 4 groups; one chart per question
+    assert metrics["ordinal.mwu_calls"] == 30 and metrics["charts.count"] == 6

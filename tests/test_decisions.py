@@ -29,7 +29,7 @@ from randrule import (
     two_class_likelihood_rule,
     uniform_overlap_mixture,
 )
-from randrule import decisions
+from randrule import mixtures
 
 ZERO_ONE = CostMatrix.zero_one(2)
 
@@ -482,7 +482,7 @@ class TestChunkedMonteCarlo:
         monkeypatch.setattr(RandomizedClassifier, "realize_batch", spy(RandomizedClassifier.realize_batch))
         results = []
         for rows in (1, 7, n):
-            monkeypatch.setattr(decisions, "_CHUNK_ROWS", rows)
+            monkeypatch.setattr(mixtures, "_CHUNK_ROWS", rows)
             seen.clear()
             est = monte_carlo_cost(mixture, cost, rule, n, seed=23)
             assert max(seen) <= rows and sum(seen) == n

@@ -50,7 +50,7 @@ from randrule import (
 )
 from randrule.cli import main
 from randrule.games import MAX_EXACT_ACTIONS
-from randrule.rng import generator
+from randrule.rng import generator, inverse_cdf
 from randrule.survey import CSV_HEADER
 
 # derandomized so that every run checks the same examples
@@ -606,6 +606,36 @@ def test_bayes_risk_bounds_the_constant_rules_and_matches_monte_carlo(case):
         assert abs(est.mean_cost - risk) <= 4.0 * est.standard_error + 1e-12
 
 
+@st.composite
+def discrete_picks(draw):
+    """(probs, uniforms): one shared (k,) distribution or one per uniform, zero entries and k = 1 included, and
+    uniforms of 0.0, exactly a running sum, the largest double below 1, or anything in [0, 1)."""
+    k, n = draw(st.integers(1, 5)), draw(st.integers(1, 30))
+    shared = draw(st.booleans())
+    rows = 1 if shared else n
+    weights = np.array(draw(st.lists(st.integers(0, 3), min_size=rows * k, max_size=rows * k)), dtype=float)
+    weights = weights.reshape(rows, k)
+    weights[:, -1] += weights.sum(axis=1) == 0
+    probs = weights / weights.sum(axis=1, keepdims=True)
+    cum = np.cumsum(probs, axis=1)
+    below_one = float(np.nextafter(1.0, 0.0))
+    uniforms = np.array([
+        draw(st.sampled_from([0.0, below_one, *cum[0 if shared else i]]) | st.floats(0.0, 1.0, exclude_max=True))
+        for i in range(n)
+    ])
+    return (probs[0] if shared else probs), uniforms
+
+
+@PROPERTY
+@given(discrete_picks())
+def test_inverse_cdf_matches_the_capped_searchsorted(case):
+    probs, uniforms = case
+    cum = np.cumsum(np.broadcast_to(probs, (uniforms.size, probs.shape[-1])), axis=1)
+    expected = [min(np.searchsorted(c, u, side="right"), c.size - 1) for c, u in zip(cum, uniforms)]
+    picks = inverse_cdf(probs, uniforms)
+    assert picks.dtype == np.int64 and picks.tolist() == expected
+
+
 class _Agent:
     """The per-round policy dispatch that the array-drawn policies and the shared loop replaced."""
 
@@ -614,9 +644,7 @@ class _Agent:
         if isinstance(policy, MixedPolicy):
             self.cum = np.cumsum(policy.strategy.probs)
         elif isinstance(policy, FrequencyExploiter):
-            counts = policy.virtual_counts
-            counts = np.ones(n_opponent) if counts is None else np.asarray(counts, dtype=float)
-            self.opponent_counts = counts.copy()
+            self.opponent_counts = np.ones(n_opponent)
 
     def act(self, payoff_vs_opponent, u):
         if isinstance(self.policy, PurePolicy):
@@ -696,24 +724,21 @@ def small_games(draw, kinds=("integer", "one-decimal", "general-sum")):
 
 
 @st.composite
-def policies(draw, n_actions, n_opponent):
-    kind = draw(st.sampled_from(["pure", "mixed", "exploiter", "exploiter-counts"]))
+def policies(draw, n_actions):
+    kind = draw(st.sampled_from(["pure", "mixed", "exploiter"]))
     if kind == "pure":
         return PurePolicy(draw(st.integers(0, n_actions - 1)))
     if kind == "mixed":
         weights = np.array(draw(st.lists(st.integers(0, 5), min_size=n_actions, max_size=n_actions))) + 0.5
         return MixedPolicy(MixedStrategy(weights / weights.sum()))
-    if kind == "exploiter":
-        return FrequencyExploiter()
-    counts = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, 7.0]), min_size=n_opponent, max_size=n_opponent))
-    return FrequencyExploiter(np.array(counts) + np.eye(n_opponent)[0])
+    return FrequencyExploiter()
 
 
 @st.composite
 def matches(draw):
     game = draw(small_games())
-    row = draw(policies(game.row_actions, game.col_actions))
-    col = draw(policies(game.col_actions, game.row_actions))
+    row = draw(policies(game.row_actions))
+    col = draw(policies(game.col_actions))
     return game, row, col, draw(st.integers(1, 300)), draw(st.integers(0, 2**64 - 1))
 
 

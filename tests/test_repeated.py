@@ -167,34 +167,6 @@ class TestValidation:
         with pytest.raises(InputError):
             run_repeated(build_rock_paper_scissors(), mixed(0.5, 0.5), PurePolicy(0), 10, seed=0)
 
-    def test_exploiter_virtual_counts_validated(self):
-        with pytest.raises(InputError):
-            run_repeated(
-                build_matching_pennies(),
-                FrequencyExploiter(np.zeros(2)),
-                PurePolicy(0),
-                10,
-                seed=0,
-            )
-        for counts in ([1.0, -1.0], [np.nan, 1.0], [np.inf, 1.0]):
-            with pytest.raises(InputError):
-                run_repeated(
-                    build_matching_pennies(),
-                    FrequencyExploiter(np.array(counts)),
-                    PurePolicy(0),
-                    10,
-                    seed=0,
-                )
-
     def test_rounds_must_be_positive(self):
         with pytest.raises(InputError):
             run_repeated(build_matching_pennies(), PurePolicy(0), PurePolicy(0), 0, seed=0)
-
-    def test_custom_virtual_counts_steer_the_first_rounds(self):
-        # a column exploiter convinced the row plays tails must open with
-        # heads: the column player wins on mismatches
-        g = build_matching_pennies()
-        trace, _ = run_repeated(
-            g, PurePolicy(0), FrequencyExploiter(np.array([0.0, 100.0])), 5, seed=0
-        )
-        assert trace.col_actions[0] == 0
