@@ -5,8 +5,11 @@ rock-paper-scissors, and the harm-allocation game in which a decision-maker
 must hurt one of two parties without knowing who is at fault. Every zero-sum
 game within ``MAX_EXACT_ACTIONS`` is solved exactly by one mechanism, the
 Shapley-Snow kernels; fictitious play shows how the equilibrium is learned.
-Fictitious play and the frequency exploiter of :mod:`randrule.repeated` run
-one best-response loop with one tie rule.
+Fictitious play and the frequency exploiter of :mod:`randrule.repeated` take
+their best responses with one tie rule and three routes: on integer payoffs
+whose scores stay below 2**53 (the exactness gate) fictitious play jumps
+between score crossings and an exploiter facing a known policy is scored in
+blocks of rounds; every other input runs the per-round loop.
 """
 
 from __future__ import annotations
@@ -161,9 +164,12 @@ class ZeroSumSolution:
 
 @dataclass(frozen=True, eq=False)
 class FictitiousPlayResult:
+    """Empirical profile, average payoff and the profile's duality gap ``max(A y) - min(x A)``."""
+
     profile: MixedProfile
     value_estimate: float
     iterations: int
+    duality_gap: float
 
 
 def build_matching_pennies() -> NormalFormGame:
@@ -283,30 +289,107 @@ def is_nash(game: NormalFormGame, profile: MixedProfile, tol: float = NASH_TOL) 
     return True
 
 
-def _pick(scores: np.ndarray, u: float) -> int:
+def _pick(scores: list[float], u: float) -> int:
     """Index of the maximal score; exact ties resolved by the uniform ``u``."""
-    scores = scores.tolist()
     best = max(scores)
     ties = [k for k, s in enumerate(scores) if s == best]
     return ties[int(u * len(ties))]
 
 
+def _exact(A: np.ndarray, BT: np.ndarray, rounds: int) -> bool:
+    """The exactness gate: integer payoffs with ``max|payoff| * (rounds + actions) < 2**53``.
+
+    Counts start at one per opponent action and gain one per round, so under the gate every
+    score a side forms is an exact float64 integer, and any summation order gives the same bits.
+    """
+    payoffs = np.concatenate((A.ravel(), BT.ravel()))
+    integer = bool(np.all(payoffs == np.trunc(payoffs)))
+    return integer and float(np.abs(payoffs).max()) * (rounds + sum(A.shape)) < 2.0**53
+
+
+def _run(scores: list[float], lead: int, slopes: list[int], limit: int) -> int:
+    """Rounds, at most ``limit``, for which ``lead`` stays the strict maximum of ``scores + k * slopes``.
+
+    1 if another score ties it now; otherwise the first k at which a rival with a larger slope
+    ties or passes it, ``ceil(gap / slope difference)`` in Python integers.
+    """
+    top, rise = int(scores[lead]), slopes[lead]
+    for k, (s, r) in enumerate(zip(scores, slopes)):
+        if k == lead:
+            continue
+        if s == top:
+            return 1
+        if r > rise:
+            limit = min(limit, (top - int(s) + r - rise - 1) // (r - rise))
+    return limit
+
+
+def _jump(A, BT, row_counts, col_counts, row_actions, col_actions, u_row, u_col) -> None:
+    """Both sides count: pick once per pass, then repeat that pair until a score crossing."""
+    rounds = row_actions.size
+    A_cols, BT_cols = A.T.astype(np.int64).tolist(), BT.T.astype(np.int64).tolist()
+    t = 0
+    while t < rounds:
+        R, C = (A @ row_counts).tolist(), (BT @ col_counts).tolist()
+        i, j = _pick(R, u_row[t]), _pick(C, u_col[t])
+        run = _run(C, j, BT_cols[i], _run(R, i, A_cols[j], rounds - t))
+        row_actions[t : t + run] = i
+        col_actions[t : t + run] = j
+        row_counts[j] += run
+        col_counts[i] += run
+        t += run
+
+
+_BLOCK_ROUNDS = 1 << 12
+
+
+def _score_blocks(M, counts, opp, out, u) -> None:
+    """One side counts, its opponent's actions ``opp`` are known: score ``_BLOCK_ROUNDS`` rounds at a time.
+
+    The scores before round t are ``M @ counts + cumsum(M.T[opp]) - M.T[opp]`` at row t; each row
+    is picked as :func:`_pick` does, by the first column whose running tie count exceeds
+    ``floor(u * ties)``.
+    """
+    MT = np.ascontiguousarray(M.T)
+    score = M @ counts
+    for b in range(0, out.size, _BLOCK_ROUNDS):
+        step = MT[opp[b : b + _BLOCK_ROUNDS]]
+        S = np.cumsum(step, axis=0)
+        S -= step
+        S += score
+        score = S[-1] + step[-1]
+        ties = np.cumsum(S == S.max(axis=1, keepdims=True), axis=1)
+        out[b : b + _BLOCK_ROUNDS] = np.argmax(ties > np.floor(u[b : b + _BLOCK_ROUNDS] * ties[:, -1])[:, None], axis=1)
+    counts += np.bincount(opp, minlength=counts.size)
+
+
 def _best_responses(A, B, row_counts, col_counts, row_actions, col_actions, u_row, u_col) -> None:
-    """Fill in, round by round, the actions of each side that best-responds to counts.
+    """Fill in the actions of each side that best-responds to counts: one tie rule, three routes.
 
     ``row_counts`` holds the row side's counts of column actions, ``col_counts``
     the column side's counts of row actions. Each round a counting side plays
     ``_pick(A @ row_counts, u_row[t])`` or ``_pick(B.T @ col_counts, u_col[t])``;
     then both sides' counts take in the opponent's action. A side passed ``None``
     keeps the actions already in its array.
+
+    Under the exactness gate (:func:`_exact`) every score is an exact integer, so two
+    routes reproduce the per-round loop bit for bit: :func:`_jump` when both sides count,
+    :func:`_score_blocks` when one side's actions are known in advance. Every other input,
+    such as non-integer payoffs, takes the per-round loop.
     """
     # a contiguous copy: the product over the transposed view rounds differently on non-integer payoffs
     BT = np.ascontiguousarray(B.T)
+    if _exact(A, BT, row_actions.size):
+        if row_counts is None:
+            return _score_blocks(BT, col_counts, row_actions, col_actions, u_col)
+        if col_counts is None:
+            return _score_blocks(A, row_counts, col_actions, row_actions, u_row)
+        return _jump(A, BT, row_counts, col_counts, row_actions, col_actions, u_row, u_col)
     for t in range(row_actions.size):
         if row_counts is not None:
-            row_actions[t] = _pick(A @ row_counts, u_row[t])
+            row_actions[t] = _pick((A @ row_counts).tolist(), u_row[t])
         if col_counts is not None:
-            col_actions[t] = _pick(BT @ col_counts, u_col[t])
+            col_actions[t] = _pick((BT @ col_counts).tolist(), u_col[t])
         if row_counts is not None:
             row_counts[col_actions[t]] += 1
         if col_counts is not None:
@@ -318,10 +401,12 @@ def fictitious_play(game: NormalFormGame, iterations: int, tie_seed: int = 0) ->
 
     Beliefs start with one virtual observation per opponent action, so the
     first best response is defined; exact score ties are broken by a stream
-    of uniforms from ``tie_seed``, alternating row and column. The loop is the
-    one a repeated match runs when a frequency exploiter plays. For zero-sum
-    games the average payoff converges to the game value and the empirical
-    frequencies approach an equilibrium profile.
+    of uniforms from ``tie_seed``, alternating row and column. The best responses
+    are the ones a repeated match computes when two frequency exploiters meet; on
+    integer payoffs they jump between score crossings, about sqrt(iterations)
+    passes. For zero-sum games the average payoff converges to the game value,
+    the empirical frequencies approach an equilibrium profile, and the duality
+    gap certifies how far: it is 0 exactly at an equilibrium.
     """
     if not game.zero_sum:
         raise InputError("fictitious play is only supported for zero-sum games")
@@ -333,11 +418,11 @@ def fictitious_play(game: NormalFormGame, iterations: int, tie_seed: int = 0) ->
     cols = np.empty(iterations, dtype=np.int64)
     _best_responses(A, game.col_payoff, np.ones(game.col_actions), np.ones(game.row_actions), rows, cols,
                     ties[0::2], ties[1::2])
-    profile = MixedProfile(
-        MixedStrategy(np.bincount(rows, minlength=game.row_actions) / iterations),
-        MixedStrategy(np.bincount(cols, minlength=game.col_actions) / iterations),
-    )
-    return FictitiousPlayResult(profile, float(np.sum(A[rows, cols]) / iterations), iterations)
+    x = np.bincount(rows, minlength=game.row_actions) / iterations
+    y = np.bincount(cols, minlength=game.col_actions) / iterations
+    profile = MixedProfile(MixedStrategy(x), MixedStrategy(y))
+    gap = float((A @ y).max() - (x @ A).min())
+    return FictitiousPlayResult(profile, float(np.sum(A[rows, cols]) / iterations), iterations, gap)
 
 
 def game_value(game: NormalFormGame) -> float:

@@ -5,8 +5,11 @@ equilibria is eventually read and punished by an opponent that merely
 counts action frequencies, while an equilibrium mix concedes nothing
 beyond sampling noise. The adversary observes actions only, never the
 opposing policy object. History-free policies (pure and mixed) draw all
-their actions at once; frequency exploiters run the best-response loop
-that fictitious play also runs.
+their actions at once; frequency exploiters take the best responses that
+fictitious play also takes, with one tie rule and three routes. Under the
+exactness gate (integer payoffs, scores below 2**53) an exploiter facing a
+history-free policy is scored in blocks of rounds, and two exploiters jump
+between score crossings; every other match runs the per-round loop.
 """
 
 from __future__ import annotations
@@ -63,7 +66,7 @@ AgentPolicy = Union[PurePolicy, MixedPolicy, FrequencyExploiter]
 
 @dataclass(frozen=True, eq=False)
 class MatchTrace:
-    """Per-round actions and payoffs of one repeated match."""
+    """Per-round actions and payoffs of one repeated match; a round's payoffs are its (row, col) cell's."""
 
     row_actions: np.ndarray
     col_actions: np.ndarray
@@ -76,13 +79,18 @@ class MatchTrace:
         return int(self.row_actions.size)
 
     def write_csv(self, path: str | Path) -> None:
+        """One CSV row per round; each (row, col) cell's text is formatted once, at its first round."""
+        row, col = self.row_actions, self.col_actions
+        cell = row * (col.max() + 1) + col
+        keys, first = np.unique(cell, return_index=True)
         # adding 0.0 folds the negative zeros produced by payoff negation
-        columns = (self.row_actions.tolist(), self.col_actions.tolist(),
-                   (self.row_payoffs + 0.0).tolist(), (self.col_payoffs + 0.0).tolist())
+        texts = {c: f"{i},{j},{p + 0.0!r},{q + 0.0!r}\r\n" for c, i, j, p, q in zip(
+            keys.tolist(), row[first].tolist(), col[first].tolist(),
+            self.row_payoffs[first].tolist(), self.col_payoffs[first].tolist())}
         try:
             with open(path, "w", newline="") as fh:
                 fh.write("round,row_action,col_action,row_payoff,col_payoff\r\n")
-                fh.writelines(f"{t},{i},{j},{p!r},{q!r}\r\n" for t, (i, j, p, q) in enumerate(zip(*columns)))
+                fh.writelines(f"{t},{texts[c]}" for t, c in enumerate(cell.tolist()))
         except OSError as exc:
             raise InputError(f"cannot write trace file {path}: {exc}") from exc
 

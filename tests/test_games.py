@@ -286,6 +286,22 @@ class TestFictitiousPlay:
         assert np.array_equal(a.profile.row.probs, b.profile.row.probs)
         assert a.value_estimate == b.value_estimate
 
+    @pytest.mark.parametrize("game", [build_rock_paper_scissors(), build_matching_pennies(),
+                                      zero_sum_game([[3.0, 0.0], [1.0, 2.0]]),
+                                      zero_sum_game([[0.5, -1.25], [-0.75, 2.0]])],
+                             ids=["rps", "mp", "integer-2x2", "fractional-2x2"])
+    def test_duality_gap_is_the_profiles_best_response_spread(self, game):
+        result = fictitious_play(game, 3_000, tie_seed=2)
+        x, y = result.profile.row.probs, result.profile.col.probs
+        A = game.row_payoff
+        assert result.duality_gap >= 0.0
+        assert result.duality_gap == float((A @ y).max() - (x @ A).min())
+
+    def test_duality_gap_shrinks_with_iterations_on_rps(self):
+        rps = build_rock_paper_scissors()
+        short, long = (fictitious_play(rps, n, tie_seed=5).duality_gap for n in (1_000, 100_000))
+        assert long < short
+
 
 class TestGameValue:
     def test_exact_for_2x2(self):

@@ -6,12 +6,13 @@ import json
 import math
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from randrule import (
     ClassComponent,
@@ -33,6 +34,7 @@ from randrule import (
     bayes_risk,
     brute_force_u,
     build_harm_game,
+    build_rock_paper_scissors,
     constant_classifier,
     descriptive_summary,
     expected_cost_of_classifier,
@@ -48,6 +50,7 @@ from randrule import (
     solve_zero_sum,
     zero_sum_game,
 )
+from randrule import games
 from randrule.cli import main
 from randrule.games import MAX_EXACT_ACTIONS
 from randrule.rng import generator, inverse_cdf
@@ -709,13 +712,19 @@ def incremental_fp(game, iterations, tie_seed):
 
 
 @st.composite
-def small_games(draw, kinds=("integer", "one-decimal", "general-sum")):
-    """2-4 actions a side: payoffs in {-1, 0, 1} (many exact score ties), one-decimal payoffs (score sums that
-    round) or general-sum one-decimal payoffs."""
+def small_games(draw, kinds=("integer", "integer-general-sum", "one-decimal", "general-sum")):
+    """2-4 actions a side: integer payoffs in {-1, 0, 1} (many exact score ties) or {-5..5}, zero-sum or
+    general-sum (the exact routes), one-decimal payoffs (score sums that round, the per-round loop) or
+    general-sum one-decimal payoffs."""
     shape = draw(st.integers(2, 4)), draw(st.integers(2, 4))
     kind = draw(st.sampled_from(kinds))
     rng = np.random.default_rng(draw(st.integers(0, 2**32)))
-    A = rng.integers(-1, 2, size=shape).astype(float)
+    top = draw(st.sampled_from([1, 5]))
+    A = rng.integers(-top, top + 1, size=shape).astype(float)
+    if kind == "integer-general-sum":
+        B = rng.integers(-top, top + 1, size=shape).astype(float)
+        assume(not np.array_equal(B, -A))
+        return NormalFormGame(A, B)
     if kind == "one-decimal":
         A = rng.integers(-30, 31, size=shape) / 10
     if kind == "general-sum":
@@ -735,17 +744,14 @@ def policies(draw, n_actions):
 
 
 @st.composite
-def matches(draw):
+def matches(draw, max_rounds=300):
     game = draw(small_games())
     row = draw(policies(game.row_actions))
     col = draw(policies(game.col_actions))
-    return game, row, col, draw(st.integers(1, 300)), draw(st.integers(0, 2**64 - 1))
+    return game, row, col, draw(st.integers(1, max_rounds)), draw(st.integers(0, 2**64 - 1))
 
 
-@PROPERTY
-@given(matches())
-def test_repeated_play_replays_the_agent_loop(match):
-    game, row, col, rounds, seed = match
+def assert_replays_the_agent_loop(game, row, col, rounds, seed):
     trace, summary = run_repeated(game, row, col, rounds, seed)
     expected = agent_loop(game, row, col, rounds, seed)
     assert np.array_equal(trace.row_actions, expected[0])
@@ -757,10 +763,84 @@ def test_repeated_play_replays_the_agent_loop(match):
 
 
 @PROPERTY
-@given(small_games(kinds=("integer",)), st.integers(1, 300), st.integers(0, 2**64 - 1))
-def test_fictitious_play_replays_the_incremental_loop_on_integer_payoffs(game, iterations, tie_seed):
+@given(matches())
+def test_repeated_play_replays_the_agent_loop(match):
+    assert_replays_the_agent_loop(*match)
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(matches(max_rounds=10_000))
+def test_long_repeated_play_replays_the_agent_loop(match):
+    game, row, col, rounds, seed = match
+    assume(FrequencyExploiter() in (row, col))
+    assert_replays_the_agent_loop(*match)
+
+
+@PROPERTY
+@given(matches(), st.sampled_from([1, 2, 7, 64]))
+def test_any_block_size_replays_the_agent_loop(match, block_rounds):
+    with mock.patch.object(games, "_BLOCK_ROUNDS", block_rounds):
+        assert_replays_the_agent_loop(*match)
+
+
+UNIFORM_RPS = MixedPolicy(MixedStrategy(np.full(3, 1.0 / 3.0)))
+RPS = build_rock_paper_scissors()
+INTEGER_GENERAL_SUM = NormalFormGame([[3, -5, 0], [-2, 4, 1]], [[-1, 2, 5], [0, -4, 3]])
+
+
+@pytest.mark.parametrize("rounds", [4095, 4096, 4097, 8193])
+@pytest.mark.parametrize("game, row, col", [
+    (RPS, PurePolicy(0), FrequencyExploiter()),
+    (RPS, UNIFORM_RPS, FrequencyExploiter()),
+    (RPS, FrequencyExploiter(), UNIFORM_RPS),
+    (INTEGER_GENERAL_SUM, FrequencyExploiter(), FrequencyExploiter()),
+], ids=["pure-exploiter", "mixed-exploiter", "exploiter-mixed", "exploiter-exploiter"])
+def test_matches_across_the_block_boundary_replay_the_agent_loop(game, row, col, rounds):
+    assert_replays_the_agent_loop(game, row, col, rounds, seed=rounds)
+
+
+def _refuse(*args):
+    raise AssertionError("an exact route ran outside the exactness gate")
+
+
+@pytest.mark.parametrize("scale", [0.1, 2.0**50], ids=["one-decimal", "past-2**53"])
+@pytest.mark.parametrize("row, col", [(PurePolicy(0), FrequencyExploiter()), (FrequencyExploiter(), UNIFORM_RPS),
+                                      (FrequencyExploiter(), FrequencyExploiter())],
+                         ids=["pure-exploiter", "exploiter-mixed", "exploiter-exploiter"])
+def test_payoffs_outside_the_exactness_gate_take_the_per_round_loop(scale, row, col):
+    # scores of 2**50 payoffs pass 2**53 within 8 rounds; one-decimal payoffs round
+    game = zero_sum_game(RPS.row_payoff * scale)
+    with mock.patch.multiple(games, _jump=_refuse, _score_blocks=_refuse):
+        assert_replays_the_agent_loop(game, row, col, 64, seed=11)
+
+
+def test_integer_payoffs_take_the_exact_routes():
+    with mock.patch.object(games, "_pick", wraps=games._pick) as pick:
+        run_repeated(RPS, PurePolicy(0), FrequencyExploiter(), 10_000, 3)
+        assert pick.call_count == 0
+        fictitious_play(RPS, 10_000, 3)
+        assert pick.call_count < 10_000 // 10
+
+
+def assert_fp_replays_the_incremental_loop(game, iterations, tie_seed):
     result = fictitious_play(game, iterations, tie_seed)
     row_counts, col_counts, value = incremental_fp(game, iterations, tie_seed)
     assert np.array_equal(result.profile.row.probs, row_counts / iterations)
     assert np.array_equal(result.profile.col.probs, col_counts / iterations)
     assert result.value_estimate.hex() == value.hex()
+
+
+@PROPERTY
+@given(small_games(kinds=("integer",)), st.integers(1, 300), st.integers(0, 2**64 - 1))
+def test_fictitious_play_replays_the_incremental_loop_on_integer_payoffs(game, iterations, tie_seed):
+    assert_fp_replays_the_incremental_loop(game, iterations, tie_seed)
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(small_games(kinds=("integer",)), st.integers(1, 10_000), st.integers(0, 2**64 - 1))
+def test_long_fictitious_play_replays_the_incremental_loop(game, iterations, tie_seed):
+    assert_fp_replays_the_incremental_loop(game, iterations, tie_seed)
+
+
+def test_rps_fictitious_play_at_20000_iterations_replays_the_incremental_loop():
+    assert_fp_replays_the_incremental_loop(RPS, 20_000, 9)
