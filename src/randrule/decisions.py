@@ -10,6 +10,18 @@ deciding class ``d`` when the case really belongs to class ``j``. The Bayes
 rule picks the decision minimizing ``sum_j prior_j * kappa[j, d] * f_j(x)``,
 ties (within a relative ``TIE_RTOL``) broken toward the lowest label; the
 randomized Bayes rule spreads its mass evenly over the tied decisions instead.
+
+On a mixture of Gaussians the batch rules (Bayes, randomized Bayes,
+likelihood-ratio, nearest-mean) score every class of a chunk from one product
+``X @ M.T`` and one row norm, not from k per-class distance passes. A per-row
+bound on how far those scores can be from the kernel's, in any summation
+order, certifies a row when no comparison the rule makes lies within it
+(``mixtures._product_weights`` derives it). The kernel recomputes every other
+row: ``mixtures._weighted_densities`` for the density rules, the per-class
+distances of ``_nearest_mean_kernel`` for nearest-mean. So every decision is
+the kernel's, and the kernel stays the oracle. Interval and mixed-kind
+mixtures, single-point :func:`bayes_decide`, posteriors and costs outside
+[2**-300, 2**900] take the kernel alone.
 """
 
 from __future__ import annotations
@@ -20,12 +32,13 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, UnsupportedEvidenceError
 from .mixtures import (
-    IsotropicGaussian,
+    _U,
     Mixture,
     UniformInterval,
     _case_chunks,
+    _product_weights,
     _weighted_densities,
     posterior,
 )
@@ -196,6 +209,47 @@ def _bayes_ties(mixture: Mixture, cost: CostMatrix, X: np.ndarray) -> np.ndarray
     return scores <= scores.min(axis=0) * (1.0 + TIE_RTOL)
 
 
+def _product_form(mixture: Mixture, cost: CostMatrix):
+    """The mixture's ``_Product``, or None when it has none or a cost could make a certified score subnormal.
+
+    Positive costs in [2**-300, 2**900] keep every cost times a weight of at least
+    ``e**-400`` a normal double, and every score finite.
+    """
+    positive = cost.values[cost.values > 0]
+    if positive.size and not (2.0**-300 <= positive.min() and positive.max() <= 2.0**900):
+        return None
+    return mixture._labels.product
+
+
+def _with_kernel(out: np.ndarray, ok: np.ndarray, X: np.ndarray, kernel) -> np.ndarray:
+    """``out`` with every column that ``ok`` leaves uncertain replaced by ``kernel`` on its rows of ``X``."""
+    uncertain = np.flatnonzero(~ok)
+    if uncertain.size:
+        try:
+            out[..., uncertain] = kernel(X[uncertain])
+        except UnsupportedEvidenceError:
+            kernel(X)  # raises again, naming the row by its place in the whole batch
+            raise
+    return out
+
+
+def _certified_ties(mixture: Mixture, cost: CostMatrix, product, X: np.ndarray) -> np.ndarray:
+    """The :func:`_bayes_ties` mask, from the product form on every row where it is certain.
+
+    A row is certain when no score lies within the factor ``exp(+-eta)`` of the
+    tie threshold (see ``mixtures._product_weights``); the kernel recomputes the rest.
+    """
+    if product is None:
+        return _bayes_ties(mixture, cost, X)
+    W, eta, ok = _product_weights(product, X)
+    with np.errstate(all="ignore"):
+        scores = cost.values.T @ W
+        threshold = scores.min(axis=0) * (1.0 + TIE_RTOL)
+        ties = scores <= threshold * np.exp(-eta)
+        ok &= (ties | (scores > threshold * np.exp(eta))).all(axis=0)
+    return _with_kernel(ties, ok, X, lambda rows: _bayes_ties(mixture, cost, rows))
+
+
 def bayes_decide(mixture: Mixture, cost: CostMatrix, x) -> int:
     """Minimum expected cost decision at ``x``; ties go to the lowest label."""
     _check_cost(mixture, cost)
@@ -205,9 +259,10 @@ def bayes_decide(mixture: Mixture, cost: CostMatrix, x) -> int:
 def bayes_classifier(mixture: Mixture, cost: CostMatrix) -> DeterministicClassifier:
     """The :func:`bayes_decide` rule packaged as a vectorized classifier."""
     _check_cost(mixture, cost)
+    product = _product_form(mixture, cost)
 
     def rule(X: np.ndarray) -> np.ndarray:
-        return np.argmax(_bayes_ties(mixture, cost, X), axis=0)
+        return np.argmax(_certified_ties(mixture, cost, product, X), axis=0)
 
     return DeterministicClassifier(mixture.label_count, rule, name="bayes")
 
@@ -219,9 +274,10 @@ def randomized_bayes_classifier(mixture: Mixture, cost: CostMatrix) -> Randomize
     :func:`bayes_decide` at every ``x``; on the two-uniform overlap it is a fair coin.
     """
     _check_cost(mixture, cost)
+    product = _product_form(mixture, cost)
 
     def rule(X: np.ndarray) -> np.ndarray:
-        ties = _bayes_ties(mixture, cost, X)
+        ties = _certified_ties(mixture, cost, product, X)
         return (ties / ties.sum(axis=0)).T
 
     return RandomizedClassifier(mixture.label_count, rule, name="randomized-bayes")
@@ -233,7 +289,9 @@ def two_class_likelihood_rule(mixture: Mixture, cost: CostMatrix) -> Determinist
     The threshold ``(pi_1 kappa[1,0]) / (pi_0 kappa[0,1])`` makes the rule
     agree with :func:`bayes_decide` wherever the posterior is defined. The
     comparison is done in product form on the prior-weighted densities, so
-    zero densities need no special casing.
+    zero densities need no special casing. On two Gaussians the certified
+    weights of ``mixtures._product_weights`` decide every row whose two sides
+    differ by more than the factor ``exp(eta)``; the kernel decides the rest.
     """
     _check_cost(mixture, cost)
     if mixture.label_count != 2:
@@ -243,11 +301,30 @@ def two_class_likelihood_rule(mixture: Mixture, cost: CostMatrix) -> Determinist
     if mixture.priors[0] * k01 <= 0.0:
         raise InputError("likelihood threshold undefined: pi_0 * kappa[0,1] must be positive")
 
-    def rule(X: np.ndarray) -> np.ndarray:
+    product = _product_form(mixture, cost)
+
+    def kernel(X: np.ndarray) -> np.ndarray:
         w = _weighted_densities(mixture, X)
         return np.where(k01 * w[0] > k10 * w[1], 0, 1)
 
+    def rule(X: np.ndarray) -> np.ndarray:
+        if product is None:
+            return kernel(X)
+        W, eta, ok = _product_weights(product, X)
+        with np.errstate(all="ignore"):
+            side0, side1 = k01 * W[0], k10 * W[1]
+            first = side0 > side1 * np.exp(eta)
+            ok &= first | (side0 <= side1 * np.exp(-eta))
+        return _with_kernel(np.where(first, 0, 1), ok, X, kernel)
+
     return DeterministicClassifier(2, rule, name="likelihood-ratio")
+
+
+def _nearest_mean_kernel(means: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Index of the nearest mean by per-class squared distances; the lowest index on ties."""
+    # class by class, so the largest temporary is (n, d), not (n, k, d)
+    d2 = np.stack([((X - mu) ** 2).sum(axis=1) for mu in means], axis=1)
+    return np.argmin(d2, axis=1)
 
 
 def nearest_mean_classifier(mixture: Mixture) -> DeterministicClassifier:
@@ -255,25 +332,37 @@ def nearest_mean_classifier(mixture: Mixture) -> DeterministicClassifier:
 
     Requires every component to be Gaussian with a common lambda and equal
     priors; under those assumptions this rule is Bayes-optimal for 0-1 cost.
+
+    The rule takes ``argmax_j (x.mu_j - |mu_j|^2 / 2)`` from one matrix product.
+    Against the kernel's squared distances ``|x - mu_j|^2 = |x|^2 - 2 (x.mu_j - |mu_j|^2 / 2)``,
+    each rounded within ``(d + 2) u (|x| + |mu_j|)^2`` (``u = 2**-53``, any summation
+    order), and the product's scores, each within ``(d + 1) u (|x| + |mu_j|)^2 / 2``,
+    a row is certain when one score leads every other by more than
+    ``2 (d + 6) u ((|x| + max|mu_j|)^2 + 2**-900)``; the last term covers underflow.
+    The per-class distances decide every other row, exact ties included.
     """
-    lams = []
-    means = []
-    for comp in mixture.components:
-        if not isinstance(comp.density, IsotropicGaussian):
-            raise InputError("nearest-mean rule needs Gaussian components")
-        lams.append(comp.density.lam)
-        means.append(comp.density.mean)
-    if any(not math.isclose(lam, lams[0], rel_tol=1e-12) for lam in lams):
+    arrays = mixture._labels
+    if arrays.is_interval.any():
+        raise InputError("nearest-mean rule needs Gaussian components")
+    if any(not math.isclose(lam, arrays.lam[0], rel_tol=1e-12) for lam in arrays.lam):
         raise InputError("nearest-mean rule needs a common lambda across components")
     equal = 1.0 / mixture.label_count
     if any(abs(p - equal) > 1e-12 for p in mixture.priors):
         raise InputError("nearest-mean rule needs equal priors")
-    mean_arr = np.stack(means)
+    means = arrays.means
+    half_sq = 0.5 * np.einsum("ij,ij->i", means, means)
+    max_norm = math.sqrt(2.0 * half_sq.max())
+    slope = 2 * (mixture.dimension + 6) * _U
 
     def rule(X: np.ndarray) -> np.ndarray:
-        # class by class, so the largest temporary is (n, d), not (n, k, d)
-        d2 = np.stack([((X - mu) ** 2).sum(axis=1) for mu in mean_arr], axis=1)
-        return np.argmin(d2, axis=1)
+        X = np.asarray(X, dtype=float)  # the margin is for doubles
+        with np.errstate(all="ignore"):  # inf or nan evidence leaves its row uncertain
+            scores = means @ X.T
+            scores -= half_sq[:, None]
+            margin = slope * ((np.sqrt(np.einsum("ij,ij->i", X, X)) + max_norm) ** 2 + 2.0**-900)
+            near = scores >= scores.max(axis=0) - margin
+            ok = near.sum(axis=0) == 1
+        return _with_kernel(np.argmax(near, axis=0), ok, X, lambda rows: _nearest_mean_kernel(means, rows))
 
     return DeterministicClassifier(mixture.label_count, rule, name="nearest-mean")
 

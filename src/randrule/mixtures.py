@@ -22,10 +22,20 @@ chunk from ``generator(seed)``. ``decisions.monte_carlo_cost`` draws its
 cases from ``_case_chunks`` on sub-stream 0 of its seed, and decides and
 reduces each chunk before it draws the next, so its per-case costs vector
 is the only array it holds of length ``n``.
+
+A mixture builds its per-label arrays once (``Mixture._labels``: kind,
+interval ends, means, lambdas and their square roots, log priors), and the
+sampler and the decision rules read them. ``_weighted_densities`` is the
+evidence kernel and the oracle; :func:`posterior_matrix` and every interval or
+mixed-kind mixture use it alone. ``_product_weights`` gives an all-Gaussian
+mixture's weights from one matrix product, together with a per-row bound on
+how far they can be from the kernel's; ``decisions`` uses it where the bound
+certifies a decision and falls back to the kernel elsewhere.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -58,6 +68,8 @@ LabelId = int
 
 PRIOR_SUM_TOL = 1e-12
 _CHUNK_ROWS = 1 << 14  # cases sampled at a time, so each chunk's arrays stay in cache
+_U = 2.0**-53  # unit roundoff of a double
+_GAP = 400.0  # a certain row has every live log-weight within this of its largest
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -109,9 +121,14 @@ class IsotropicGaussian:
     def dimension(self) -> int:
         return int(self.mean.size)
 
+    @property
+    def log_norm(self) -> float:
+        """``(d/2) log(2 pi lambda)``, the log of the density's normalizer."""
+        return self.dimension / 2.0 * math.log(2.0 * math.pi * self.lam)
+
     def logpdf(self, x: np.ndarray) -> np.ndarray:
         sq = np.sum((x - self.mean) ** 2, axis=1)
-        return -sq / (2.0 * self.lam) - self.dimension / 2.0 * math.log(2.0 * math.pi * self.lam)
+        return -sq / (2.0 * self.lam) - self.log_norm
 
 
 Density = Union[UniformInterval, IsotropicGaussian]
@@ -163,6 +180,10 @@ class Mixture:
         if not 0 <= label < self.label_count:
             raise InputError(f"label {label} out of range for {self.label_count} classes")
 
+    @functools.cached_property
+    def _labels(self) -> "_LabelArrays":
+        return _label_arrays(self)
+
     def _as_evidence(self, x) -> np.ndarray:
         arr = np.atleast_1d(np.asarray(x, dtype=float))
         if arr.ndim != 1 or arr.size != self.dimension:
@@ -170,6 +191,72 @@ class Mixture:
                 f"evidence must be a vector of dimension {self.dimension}, got shape {np.shape(x)}"
             )
         return arr.reshape(1, -1)
+
+
+@dataclass(frozen=True, eq=False)
+class _Product:
+    """The product form of the Gaussian log-weights, one entry per label (see :func:`_product_weights`)."""
+
+    scaled_means: np.ndarray  # (k, d): mu_j / lam_j
+    offsets: np.ndarray  # (k,): log pi_j - |mu_j|^2 / (2 lam_j) - (d/2) log(2 pi lam_j)
+    # (k,): 1 / (2 lam_j), or None when every lam_j is the same and |x|^2 / (2 lam) shifts the whole column
+    half_inv_lam: np.ndarray | None
+    live: slice | np.ndarray  # the labels with a positive prior
+    max_norm: float  # the largest |mu_j| over the live labels
+    eta_slope: float  # a row's eta is eta_slope * (|x| + max_norm)^2 - eta_relief * |x|^2 + eta_floor
+    eta_relief: float
+    eta_floor: float
+
+
+@dataclass(frozen=True, eq=False)
+class _LabelArrays:
+    """Every label's parameters as arrays, built once per mixture (``Mixture._labels``).
+
+    The other kind's slots stay harmless: an interval has mean 0 and lambda 1,
+    a Gaussian lo = span = 0. ``product`` is None unless every component is a
+    Gaussian with lambda in [2**-200, 2**200].
+    """
+
+    is_interval: np.ndarray
+    lo: np.ndarray
+    span: np.ndarray
+    means: np.ndarray
+    lam: np.ndarray
+    scale: np.ndarray  # sqrt(lam)
+    log_prior: np.ndarray  # -inf for a zero prior
+    product: _Product | None
+
+
+def _label_arrays(mixture: Mixture) -> _LabelArrays:
+    k, d = mixture.label_count, mixture.dimension
+    is_interval, lo, span = np.zeros(k, dtype=bool), np.zeros(k), np.zeros(k)
+    means, lam, log_norm = np.zeros((k, d)), np.ones(k), np.zeros(k)
+    for j, comp in enumerate(mixture.components):
+        f = comp.density
+        if isinstance(f, UniformInterval):
+            is_interval[j], lo[j], span[j] = True, f.lo, f.hi - f.lo
+        else:
+            means[j], lam[j], log_norm[j] = f.mean, f.lam, f.log_norm
+    with np.errstate(divide="ignore"):  # a zero prior has log -inf
+        log_prior = np.array([np.log(c.prior) for c in mixture.components])
+    product = None
+    if not is_interval.any() and np.all((2.0**-200 <= lam) & (lam <= 2.0**200)):
+        half_inv_lam = 0.5 / lam
+        sq_norms = np.einsum("ij,ij->i", means, means)
+        live = np.flatnonzero(log_prior > -np.inf)
+        common = bool(np.all(lam == lam[0]))
+        h = half_inv_lam[live].max()
+        product = _Product(
+            scaled_means=means / lam[:, None],
+            offsets=log_prior - sq_norms * half_inv_lam - log_norm,
+            half_inv_lam=None if common else half_inv_lam,
+            live=slice(None) if live.size == k else live,
+            max_norm=math.sqrt(sq_norms[live].max()),
+            eta_slope=(4 * d + 28) * _U * h,
+            eta_relief=(2 * d + 12) * _U * h if common else 0.0,
+            eta_floor=20 * _U * (np.abs(log_prior[live]) + np.abs(log_norm[live])).max() + (4 * k + 104) * _U,
+        )
+    return _LabelArrays(is_interval, lo, span, means, lam, np.sqrt(lam), log_prior, product)
 
 
 def uniform_overlap_mixture(a: float, b: float) -> Mixture:
@@ -222,14 +309,76 @@ def _weighted_densities(mixture: Mixture, X: np.ndarray) -> np.ndarray:
     Class-major, so reductions over classes run along the long axis. Raises
     :class:`UnsupportedEvidenceError` if any row has zero density under every class.
     """
-    with np.errstate(divide="ignore"):  # a zero prior has log -inf
-        weighted = np.stack([np.log(c.prior) + c.density.logpdf(X) for c in mixture.components])
+    weighted = np.stack([a + c.density.logpdf(X) for a, c in zip(mixture._labels.log_prior, mixture.components)])
     top = weighted.max(axis=0)
     if np.isneginf(top).any():
         bad = int(np.argmax(np.isneginf(top)))
         raise UnsupportedEvidenceError(f"evidence row {bad} has zero density under every class")
     weighted -= top
     return np.exp(weighted, out=weighted)
+
+
+def _product_weights(product: _Product, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(W, eta, ok)``: the kernel's weights from one matrix product, and how far they can be from the kernel's.
+
+    For an isotropic Gaussian ``log(pi_j f_j(x)) = c_j + x.mu_j / lam_j - |x|^2 / (2 lam_j)``
+    with ``c_j = log pi_j - |mu_j|^2 / (2 lam_j) - (d/2) log(2 pi lam_j)``, so all k
+    log-weights of a row come from one (k, d) @ (d, n) product and one row norm. ``W``
+    is ``exp`` of them shifted so each column's largest is 1, as in
+    :func:`_weighted_densities`, which stays the oracle. When every lambda is the same
+    the product leaves out ``|x|^2 / (2 lam)``: it shifts the whole column, and the
+    shift to a largest of 1 takes it out again.
+
+    The bound. Write ``u = 2**-53``, ``h = max 1 / (2 lam_j)``, ``r = |x|``,
+    ``m = max |mu_j|`` and ``ab = max (|a_j| + |b_j|)`` over the live labels, where
+    ``a_j = log pi_j`` and ``b_j = (d/2) log(2 pi lam_j)`` are the floats both paths
+    add; ``l_j`` is the exact log-weight built from them. A sum or dot of n terms, in
+    any order and with or without FMA (BLAS, numpy's SIMD loops), is within
+    ``n u / (1 - n u)`` of the sum of the terms' absolute values.
+
+    * The kernel rounds ``x - mu_j``, its square, a d-term sum, a division and two
+      additions: it is within ``(d + 5) u h |x - mu_j|^2 + 2 u ab`` of ``l_j``, and
+      ``|x - mu_j| <= r + m``.
+    * The product rounds ``mu_j / lam_j`` and a d-term dot (``(d + 1) u 2 h sum_i |x_i mu_ji|``,
+      at most ``(d + 1) u 2 h r m`` by Cauchy-Schwarz, so no second product is needed),
+      ``|mu_j|^2 / (2 lam_j)`` and ``c_j`` (``(d + 4) u h m^2 + 2 u ab``), ``|x|^2 / (2 lam_j)``
+      (``(d + 2) u h r^2``) and at most two more additions: it is within
+      ``(d + 6) u h ((r + m)^2 - r^2) + 4 u ab``, plus ``(d + 6) u h r^2`` unless every
+      lambda is the same.
+    * Each path subtracts its column's top; the top is a factor common to the column,
+      which no comparison of its entries sees, and the subtraction adds
+      ``u |l_j - l_top| <= u (h (r + m)^2 + 2 ab)``. ``exp`` is allowed 8 ulp (``17 u``
+      in the log), a cost product over k non-negative terms ``(k + 1) u``, and
+      ``u h (r + m)^2`` covers the rounded ``r``, ``m`` and ``n u / (1 - n u)`` here.
+
+    So two entries of a column, each a cost-weighted sum of weights, compare within
+    ``eta_1 = (2 d + 14) u h (r + m)^2 - (d + 6) u h r^2 [one lambda] + 10 u ab + (2 k + 36) u``
+    of how the kernel's compare. A comparison against a threshold that is a rounded
+    product of another entry, times a rounded ``exp(+-eta)``, agrees with the kernel's
+    when ``eta >= 2 eta_1 + 24 u``; ``eta`` is that with ``8 u`` to spare for its own
+    rounding. For d = 8, k = 10, equal priors and unit lambda it stays below ``TIE_RTOL``
+    while ``r + m < 17``.
+
+    The bound holds while no weight is subnormal: ``ok`` marks the rows whose live
+    log-weights all lie within ``_GAP`` of the top, so every weight is at least
+    ``e**-400`` in both paths. Underflow elsewhere (a product ``x_i mu_i``, ``|x|^2``
+    of tiny evidence) adds at most ``d 2**-1074`` per sum; the lambda range of
+    :class:`_Product` keeps that far below ``u`` after the division by lambda.
+    Evidence with inf or nan gives a nan or infinite eta, which no comparison passes.
+    A zero prior's log-weight is -inf in both paths and its weight exactly 0.
+    """
+    X = np.asarray(X, dtype=float)  # the bound is for doubles
+    with np.errstate(all="ignore"):  # inf or nan evidence leaves its row uncertain, not a warning
+        norms = np.einsum("ij,ij->i", X, X)
+        log_w = product.scaled_means @ X.T
+        log_w += product.offsets[:, None]
+        if product.half_inv_lam is not None:
+            log_w -= np.multiply.outer(product.half_inv_lam, norms)
+        log_w -= log_w.max(axis=0)
+        ok = log_w[product.live].min(axis=0) >= -_GAP
+        eta = product.eta_slope * (np.sqrt(norms) + product.max_norm) ** 2 - product.eta_relief * norms
+        eta += product.eta_floor
+        return np.exp(log_w, out=log_w), eta, ok
 
 
 def posterior_matrix(mixture: Mixture, X: np.ndarray) -> np.ndarray:
@@ -252,16 +401,8 @@ def posterior(mixture: Mixture, x) -> np.ndarray:
 
 def _case_chunks(mixture: Mixture, n: int, gen: np.random.Generator):
     """Yield ``(start, X, labels)`` for the next ``n`` cases of ``gen``'s stream, ``_CHUNK_ROWS`` at a time."""
-    k, d = mixture.label_count, mixture.dimension
-    # per-label parameters of both kinds; the other kind's slots stay harmless
-    is_interval, lo, span = np.zeros(k, dtype=bool), np.zeros(k), np.zeros(k)
-    means, scale = np.zeros((k, d)), np.ones(k)
-    for j, comp in enumerate(mixture.components):
-        f = comp.density
-        if isinstance(f, UniformInterval):
-            is_interval[j], lo[j], span[j] = True, f.lo, f.hi - f.lo
-        else:
-            means[j], scale[j] = f.mean, math.sqrt(f.lam)
+    d, arrays = mixture.dimension, mixture._labels
+    is_interval = arrays.is_interval
     # the widest transform budget: 1 for an interval, 2*ceil(d/2) for a Gaussian
     width = 1 if is_interval.all() else 2 * ((d + 1) // 2)
     priors = mixture.priors
@@ -270,13 +411,15 @@ def _case_chunks(mixture: Mixture, n: int, gen: np.random.Generator):
         labels = inverse_cdf(priors, table[:, 0])
         # each kind's transform runs once over every row, its parameters gathered by label
         if is_interval.any():
-            X = (lo[labels] + span[labels] * table[:, 1]).reshape(-1, 1)
+            X = (arrays.lo[labels] + arrays.span[labels] * table[:, 1]).reshape(-1, 1)
         if not is_interval.all():
-            z = box_muller(table[:, 1:])  # a Gaussian's budget is the widest
-            gauss = means[labels] + scale[labels, None] * z[:, :d]
+            gauss = box_muller(table[:, 1:])[:, :d]  # a Gaussian's budget is the widest
+            table = None  # in place from here, so the uniforms are gone before the gather
+            gauss *= arrays.scale[labels, None]
+            gauss += arrays.means[labels]
             # only a 1-D mixture holds both kinds
             X = np.where(is_interval[labels, None], X, gauss) if is_interval.any() else gauss
-        table = z = gauss = None  # the caller decides the chunk without the sampling temporaries
+        table = gauss = None  # the caller decides the chunk without the sampling temporaries
         yield start, X, labels
 
 

@@ -116,23 +116,26 @@ class ExploitabilityReport:
     seed: int
 
 
-def _plan(policy: AgentPolicy, n_actions: int, n_opponent: int, side: str, u: np.ndarray):
-    """(actions, counts) of one side: all actions of a history-free policy, or an
-    exploiter's starting counts of opponent actions and an array the loop fills."""
+def _plan(policy: AgentPolicy, n_actions: int, n_opponent: int, side: str, rounds: int, stream):
+    """(actions, counts, uniforms) of one side: all actions of a history-free policy, or an
+    exploiter's starting counts of opponent actions and an array the loop fills.
+
+    ``stream`` is the side's own generator; a pure policy draws nothing from it."""
     if isinstance(policy, PurePolicy):
         if not isinstance(policy.action, (int, np.integer)):
             raise InputError(f"{side} pure action {policy.action!r} is not an integer")
         if not 0 <= policy.action < n_actions:
             raise InputError(f"{side} pure action {policy.action} out of range for {n_actions} actions")
-        return np.full(u.size, policy.action, dtype=np.int64), None
+        return np.full(rounds, policy.action, dtype=np.int64), None, None
     if isinstance(policy, MixedPolicy):
         if policy.strategy.n_actions != n_actions:
             raise InputError(
                 f"{side} mixed strategy has {policy.strategy.n_actions} entries, game offers {n_actions} actions"
             )
-        return inverse_cdf(policy.strategy.probs, u), None
+        u = stream.random(rounds)
+        return inverse_cdf(policy.strategy.probs, u), None, u
     if isinstance(policy, FrequencyExploiter):
-        return np.empty(u.size, dtype=np.int64), np.ones(n_opponent)
+        return np.empty(rounds, dtype=np.int64), np.ones(n_opponent), stream.random(rounds)
     raise InputError(f"unknown policy type {type(policy).__name__}")
 
 
@@ -146,15 +149,13 @@ def run_repeated(
     """Play the stage game ``rounds`` times; identical seeds replay identically.
 
     Sub-streams 0 and 1 of ``seed`` give the row and column player one
-    uniform per round (ignored by policies that do not need randomness), so
-    the trace does not depend on what the other player's policy consumes.
+    uniform per round (a pure policy draws none), so the trace does not
+    depend on what the other player's policy consumes.
     """
     if rounds < 1:
         raise InputError(f"rounds must be >= 1, got {rounds}")
-    u_row = generator(seed, 0).random(rounds)
-    u_col = generator(seed, 1).random(rounds)
-    row_actions, row_counts = _plan(row, game.row_actions, game.col_actions, "row", u_row)
-    col_actions, col_counts = _plan(col, game.col_actions, game.row_actions, "col", u_col)
+    row_actions, row_counts, u_row = _plan(row, game.row_actions, game.col_actions, "row", rounds, generator(seed, 0))
+    col_actions, col_counts, u_col = _plan(col, game.col_actions, game.row_actions, "col", rounds, generator(seed, 1))
     A = game.row_payoff
     B = game.col_payoff
     if row_counts is not None or col_counts is not None:

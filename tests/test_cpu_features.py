@@ -1,4 +1,4 @@
-"""The golden pins hold with numpy's SIMD dispatch cut down to its X86_V2 baseline."""
+"""The golden pins and the certified decisions hold with numpy's SIMD dispatch cut down to its X86_V2 baseline."""
 
 import os
 import subprocess
@@ -18,7 +18,8 @@ def test_pins_hold_without_wide_simd():
     # only the child sees the variable: numpy reads it once, at import
     env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(DISABLED)}
     child = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "tests/test_golden.py", "tests/test_demos.py"],
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "tests/test_golden.py", "tests/test_demos.py",
+         "tests/test_certified_decisions.py"],
         cwd=ROOT,
         env=env,
         capture_output=True,

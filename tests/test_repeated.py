@@ -1,4 +1,5 @@
 import csv
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from randrule import (
     exploitability_report,
     run_repeated,
 )
+from randrule import repeated
 
 
 def mixed(*probs):
@@ -36,6 +38,25 @@ class TestDeterminism:
         t1, _ = run_repeated(g, mixed(0.5, 0.5), mixed(0.5, 0.5), 200, seed=1)
         t2, _ = run_repeated(g, mixed(0.5, 0.5), mixed(0.5, 0.5), 200, seed=2)
         assert not np.array_equal(t1.row_actions, t2.row_actions)
+
+    def test_a_pure_side_draws_no_uniforms(self, monkeypatch):
+        # each side has its own sub-stream, so the other side's draws do not move
+        draws = []
+        real = repeated.generator
+
+        def counting(seed, *key):
+            gen = real(seed, *key)
+
+            def random(size):
+                draws.append((key, size))
+                return gen.random(size)
+
+            return SimpleNamespace(random=random)
+
+        monkeypatch.setattr(repeated, "generator", counting)
+        run_repeated(build_rock_paper_scissors(), PurePolicy(2), FrequencyExploiter(), 300, seed=9)
+        run_repeated(build_rock_paper_scissors(), mixed(0.2, 0.5, 0.3), PurePolicy(1), 300, seed=9)
+        assert draws == [((1,), 300), ((0,), 300)]
 
 
 class TestBookkeeping:
