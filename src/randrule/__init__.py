@@ -6,8 +6,8 @@ The library covers four connected pieces:
   spreads its mass over every minimum-cost decision and so matches the best
   deterministic rule exactly on any mixture and cost;
 * two-player matrix games with one exact solver for every zero-sum game
-  of up to ten rows plus columns (matching pennies, rock-paper-scissors,
-  the harm-allocation dilemma) and fictitious play as learning dynamics;
+  (matching pennies, rock-paper-scissors, the harm-allocation dilemma) and
+  fictitious play as learning dynamics;
 * repeated play showing how pure strategies get exploited by a frequency
   learner while equilibrium mixes do not; the learner runs the same
   best-response loop as fictitious play;

@@ -446,6 +446,7 @@ def monte_carlo_cost(
         flat = labels * k + decisions
         costs[start : start + rows] = flat_cost[flat]
         confusion += np.bincount(flat, minlength=k * k)
+        X = labels = decisions = flat = None  # released before the next chunk is sampled
     se = float(costs.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     confusion = confusion.reshape(k, k)
     confusion.flags.writeable = False

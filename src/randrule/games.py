@@ -2,9 +2,9 @@
 
 Covers the dilemma games where pure strategies fail: matching pennies,
 rock-paper-scissors, and the harm-allocation game in which a decision-maker
-must hurt one of two parties without knowing who is at fault. Every zero-sum
-game within ``MAX_EXACT_ACTIONS`` is solved exactly by one mechanism, the
-Shapley-Snow kernels; fictitious play shows how the equilibrium is learned.
+must hurt one of two parties without knowing who is at fault. One exact solver
+takes every zero-sum game: its first pure saddle, else a rational simplex on its
+linear program; fictitious play shows how the equilibrium is learned.
 Fictitious play and the frequency exploiter of :mod:`randrule.repeated` take
 their best responses with one tie rule and three routes: on integer payoffs
 whose scores stay below 2**53 (the exactness gate) fictitious play jumps
@@ -15,7 +15,7 @@ blocks of rounds; every other input runs the per-round loop.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +47,6 @@ __all__ = [
 
 STRATEGY_SUM_TOL = 1e-12
 NASH_TOL = 1e-9
-MAX_EXACT_ACTIONS = 10  # rows plus columns; an m x n game has C(m + n, m) - 1 <= 251 square blocks
 
 
 def _payoff_array(values, side: str) -> np.ndarray:
@@ -230,39 +229,40 @@ def find_pure_nash(game: NormalFormGame) -> list[tuple[int, int]]:
     return [(int(i), int(j)) for i, j in cells]
 
 
-def _cofactor(m: list[list[float]], i: int, j: int) -> float:
-    """Signed minor by Laplace expansion; exact for 1x1 blocks, unlike np.linalg.det."""
-    minor = [row[:j] + row[j + 1 :] for r, row in enumerate(m) if r != i]
-    return (-1) ** (i + j) * (sum(minor[0][c] * _cofactor(minor, 0, c) for c in range(len(minor))) if minor else 1.0)
-
-
 def solve_zero_sum(game: NormalFormGame) -> ZeroSumSolution:
-    """Exact equilibrium of a zero-sum game with at most ``MAX_EXACT_ACTIONS`` rows plus columns.
+    """Exact equilibrium of any zero-sum game, each number rounded once.
 
-    Shapley-Snow kernels: a square block ``M`` of the payoff matrix with ``s = 1' adj(M) 1 != 0``
-    proposes the mixes ``1' adj(M) / s`` and ``adj(M) 1 / s`` and the value ``det(M) / s``, with
-    ``det(M) = M[0] adj(M)[:, 0]``. Blocks are tried by size, then in combinations order, so 1x1 blocks
-    are the pure saddles in :func:`find_pure_nash` order. The first proposal passing :func:`is_nash` at 1e-9 wins.
+    A game with a pure saddle returns the first one in :func:`find_pure_nash` order. Otherwise a tableau
+    simplex over exact :class:`fractions.Fraction`, under Bland's rule with variables in column order,
+    solves ``max 1'y s.t. (A + shift) y <= 1, y >= 0``, where ``shift = 1 - min A`` makes every entry >= 1.
+    The column mix is ``y / 1'y``, the row mix the objective row's slack entries over ``1'y`` and the value
+    ``1 / 1'y - shift``; each is rounded once by ``float(Fraction)``, so it is correctly rounded, with no
+    tolerance and no size limit. A game with several mixed equilibria gets the Bland vertex. Fraction
+    growth sets the cost (2-core x86): about 1-4 ms at 5x5, 7-34 ms at 10x10, 0.1-0.65 s at 20x20.
     """
     if not game.zero_sum:
         raise InputError("exact solver only handles zero-sum games")
     rows, cols = game.row_actions, game.col_actions
-    if rows + cols > MAX_EXACT_ACTIONS:
-        raise InputError(f"{rows}x{cols} game exceeds {MAX_EXACT_ACTIONS} rows plus columns; use fictitious play")
-    for k in range(1, min(rows, cols) + 1):
-        for S, T in product(combinations(range(rows), k), combinations(range(cols), k)):
-            block = game.row_payoff[np.ix_(S, T)].tolist()
-            adj = np.array([[_cofactor(block, j, i) for j in range(k)] for i in range(k)])
-            s = adj.sum()
-            if s == 0:
-                continue
-            x, y = np.zeros(rows), np.zeros(cols)
-            x[list(S)], y[list(T)] = adj.sum(axis=0) / s, adj.sum(axis=1) / s
-            if x.min() >= 0 and y.min() >= 0:
-                profile = MixedProfile(MixedStrategy(x), MixedStrategy(y))
-                if is_nash(game, profile, NASH_TOL):
-                    return ZeroSumSolution(profile, float(sum(a * c for a, c in zip(block[0], adj[:, 0])) / s))
-    raise ArithmeticError("no square block of the payoff matrix passed the equilibrium check")
+    if saddles := find_pure_nash(game):
+        i, j = saddles[0]
+        return ZeroSumSolution(MixedProfile(MixedStrategy.pure(i, rows), MixedStrategy.pure(j, cols)),
+                               float(game.row_payoff[i, j]))
+    shift = 1 - Fraction(game.row_payoff.min())
+    # columns y, slacks, right-hand side; the last row is the objective -1'y
+    T = [[Fraction(a) + shift for a in r] + [Fraction(int(k == i)) for k in range(rows)] + [Fraction(1)]
+         for i, r in enumerate(game.row_payoff.tolist())] + [[Fraction(-1)] * cols + [Fraction(0)] * (rows + 1)]
+    basis = list(range(cols, cols + rows))
+    while (j := next((k for k, c in enumerate(T[-1][:-1]) if c < 0), None)) is not None:
+        r = min((T[q][-1] / T[q][j], basis[q], q) for q in range(rows) if T[q][j] > 0)[2]
+        pivot = T[r] = [v / T[r][j] for v in T[r]]
+        for k, row in enumerate(T):
+            if k != r and (f := row[j]):
+                T[k] = [a - f * b for a, b in zip(row, pivot)]
+        basis[r] = j
+    total = T[-1][-1]
+    x = [float(v / total) for v in T[-1][cols:-1]]
+    y = [float(T[basis.index(c)][-1] / total) if c in basis else 0.0 for c in range(cols)]
+    return ZeroSumSolution(MixedProfile(MixedStrategy(x), MixedStrategy(y)), float(1 / total - shift))
 
 
 def is_nash(game: NormalFormGame, profile: MixedProfile, tol: float = NASH_TOL) -> bool:

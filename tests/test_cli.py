@@ -244,11 +244,11 @@ class TestSolveGame:
         assert rows["value"] == "0.5"
         assert rows["is_nash(tol=1e-09)"] == "true"
 
-    def test_exact_method_rejects_games_past_the_size_limit(self, capsys):
+    def test_exact_method_solves_games_of_any_size(self, capsys):
         game = json.dumps({"row_payoff": [[0] * 5] * 6, "zero_sum": True})
-        code, _, err = run(capsys, "solve-game", "--game", game)
-        assert code == 2
-        assert "6x5" in err
+        code, out, _ = run(capsys, "solve-game", "--game", game)
+        assert code == 0
+        assert "is_nash(tol=1e-09)  true" in out
 
     @pytest.mark.parametrize("flag", ['"no"', "1", "null"])
     def test_non_boolean_zero_sum_is_an_input_error(self, capsys, flag):

@@ -23,6 +23,7 @@ def test_harm_dilemma_demo_prints_the_exact_mix(capsys):
     out = capsys.readouterr().out
     assert "equilibrium mix: harm X with p=0.75, harm Y with p=0.25" in out
     assert "verified Nash at 1e-9: False" not in out
+    assert hashlib.sha256(out.encode()).hexdigest() == "5feb717688fbd97aeeb57b658a1d6d2f9aa99cf3b218302e8f6a367d6887385f"
 
 
 def test_learning_demo_stdout_matches_its_digest(capsys):

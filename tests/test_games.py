@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -117,6 +118,25 @@ class TestExpectedPayoff:
             expected_payoff(g, MixedProfile(MixedStrategy.uniform(3), MixedStrategy.uniform(2)))
 
 
+def linprog_value(a):
+    """The value of the zero-sum game ``a`` from scipy's LP solver, the exact solver's oracle."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+
+    # max v  s.t.  x^T A >= v for every column, sum x = 1, x >= 0
+    rows, cols = a.shape
+    lp = linprog(
+        c=np.r_[np.zeros(rows), -1.0],
+        A_ub=np.c_[-a.T, np.ones(cols)],
+        b_ub=np.zeros(cols),
+        A_eq=np.r_[np.ones(rows), 0.0].reshape(1, -1),
+        b_eq=[1.0],
+        bounds=[(0, None)] * rows + [(None, None)],
+        method="highs",
+    )
+    assert lp.success, lp.message
+    return -lp.fun
+
+
 class TestPureNash:
     def test_matching_pennies_has_none(self):
         assert find_pure_nash(build_matching_pennies()) == []
@@ -174,8 +194,9 @@ class TestExactSolver:
             m_x, m_y = rng.uniform(0.05, 5.0, size=2)
             v_x, v_y = rng.uniform(0.1, 10.0, size=2)
             sol = solve_zero_sum(build_harm_game(HarmScenario(m_x, v_x, m_y, v_y)))
-            total = m_x * v_x + m_y * v_y
-            assert sol.profile.row.probs[0] == (m_y * v_y) / total
+            # the exact rational b / (a + b) of the game's float payoffs, rounded once
+            a, b = Fraction(m_x * v_x), Fraction(m_y * v_y)
+            assert sol.profile.row.probs[0] == float(b / (a + b))
             assert is_nash(build_harm_game(HarmScenario(m_x, v_x, m_y, v_y)), sol.profile, 1e-9)
 
     def test_degenerate_scenario_harms_the_blameless_free_side(self):
@@ -186,10 +207,20 @@ class TestExactSolver:
         assert sol.value == 0.0
 
     def test_rejects_wrong_shapes(self):
-        with pytest.raises(InputError, match="6x5"):
-            solve_zero_sum(zero_sum_game(np.ones((6, 5))))
+        # no size limit: a 6x5 game solves, at its first saddle
+        sol = solve_zero_sum(zero_sum_game(np.ones((6, 5))))
+        assert np.array_equal(sol.profile.row.probs, np.eye(6)[0]) and sol.value == 1.0
         with pytest.raises(InputError):
             solve_zero_sum(NormalFormGame([[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("shape, seed", [((6, 6), 0), ((2, 9), 2)])
+    def test_saddle_free_games_of_any_size_solve(self, shape, seed):
+        a = np.random.Generator(np.random.PCG64(seed)).integers(-5, 6, size=shape).astype(float)
+        g = zero_sum_game(a)
+        assert find_pure_nash(g) == []
+        sol = solve_zero_sum(g)
+        assert is_nash(g, sol.profile, 1e-9)
+        assert abs(sol.value - linprog_value(a)) <= 1e-9
 
     def test_rock_paper_scissors_mixes_exactly_evenly(self):
         sol = solve_zero_sum(build_rock_paper_scissors())

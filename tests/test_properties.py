@@ -5,6 +5,7 @@ import io
 import json
 import math
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -52,9 +53,9 @@ from randrule import (
 )
 from randrule import games
 from randrule.cli import main
-from randrule.games import MAX_EXACT_ACTIONS
 from randrule.rng import generator, inverse_cdf
 from randrule.survey import CSV_HEADER
+from test_games import linprog_value
 
 # derandomized so that every run checks the same examples
 PROPERTY = settings(derandomize=True, max_examples=200, deadline=None)
@@ -467,10 +468,9 @@ def test_any_policy_string_exits_0_or_2(row, col, game):
 
 @st.composite
 def payoff_matrices(draw, shape=None):
-    """Integer (many ties), one-decimal or Gaussian payoffs within the exact solver's size limit."""
+    """Integer (many ties), one-decimal or Gaussian payoffs, 1 to 8 rows and columns."""
     if shape is None:
-        rows = draw(st.integers(1, MAX_EXACT_ACTIONS - 1))
-        shape = (rows, draw(st.integers(1, MAX_EXACT_ACTIONS - rows)))
+        shape = (draw(st.integers(1, 8)), draw(st.integers(1, 8)))
     kind = draw(st.sampled_from(["integer", "one-decimal", "gaussian"]))
     if kind == "gaussian":
         return np.random.default_rng(draw(st.integers(0, 2**32))).standard_normal(shape)
@@ -479,26 +479,8 @@ def payoff_matrices(draw, shape=None):
     return cells / 10 if kind == "one-decimal" else cells // 10
 
 
-def linprog_value(a):
-    from scipy.optimize import linprog
-
-    # max v  s.t.  x^T A >= v for every column, sum x = 1, x >= 0
-    rows, cols = a.shape
-    lp = linprog(
-        c=np.r_[np.zeros(rows), -1.0],
-        A_ub=np.c_[-a.T, np.ones(cols)],
-        b_ub=np.zeros(cols),
-        A_eq=np.r_[np.ones(rows), 0.0].reshape(1, -1),
-        b_eq=[1.0],
-        bounds=[(0, None)] * rows + [(None, None)],
-        method="highs",
-    )
-    assert lp.success, lp.message
-    return -lp.fun
-
-
 def indifference_solution(a):
-    """The 2x2 closed form the kernels replaced: first pure saddle, else the indifference equations."""
+    """The 2x2 closed form the exact solver replaced: first pure saddle, else the indifference equations."""
     saddles = find_pure_nash(zero_sum_game(a))
     if saddles:
         i, j = saddles[0]
@@ -538,7 +520,8 @@ worths = st.floats(0.1, 10.0)
 @given(merits, worths, merits, worths)
 def test_harm_row_mix_is_exactly_the_closed_form(m_x, v_x, m_y, v_y):
     sol = solve_zero_sum(build_harm_game(HarmScenario(m_x, v_x, m_y, v_y)))
-    assert sol.profile.row.probs[0] == (m_y * v_y) / (m_x * v_x + m_y * v_y)
+    a, b = Fraction(m_x * v_x), Fraction(m_y * v_y)
+    assert sol.profile.row.probs[0] == float(b / (a + b))
 
 
 @st.composite

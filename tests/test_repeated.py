@@ -15,7 +15,9 @@ from randrule import (
     build_matching_pennies,
     build_rock_paper_scissors,
     exploitability_report,
+    game_value,
     run_repeated,
+    zero_sum_game,
 )
 from randrule import repeated
 
@@ -167,6 +169,12 @@ class TestExploitabilityReport:
         assert report.game_value == -1.5
         assert report.exploiter_avg_payoff == pytest.approx(1.5, abs=0.1)
         assert abs(report.payoff_gap) <= 0.1
+
+    def test_games_of_any_size_report_their_value(self):
+        # a circulant game: uniform play is optimal for both sides, so the value is the row mean
+        g = zero_sum_game([np.roll([0.0, -1.0, 2.0, -3.0, 1.0, 4.0], k) for k in range(6)])
+        report = exploitability_report(g, PurePolicy(0), 200, seed=1)
+        assert report.game_value == game_value(g) == 0.5
 
     def test_policy_frequencies_are_reported(self):
         report = exploitability_report(build_matching_pennies(), PurePolicy(1), 200, seed=1)
