@@ -11,17 +11,18 @@ rule picks the decision minimizing ``sum_j prior_j * kappa[j, d] * f_j(x)``,
 ties (within a relative ``TIE_RTOL``) broken toward the lowest label; the
 randomized Bayes rule spreads its mass evenly over the tied decisions instead.
 
-On a mixture of Gaussians the batch rules (Bayes, randomized Bayes,
-likelihood-ratio, nearest-mean) score every class of a chunk from one product
-``X @ M.T`` and one row norm, not from k per-class distance passes. A per-row
-bound on how far those scores can be from the kernel's, in any summation
-order, certifies a row when no comparison the rule makes lies within it
-(``mixtures._product_weights`` derives it). The kernel recomputes every other
-row: ``mixtures._weighted_densities`` for the density rules, the per-class
-distances of ``_nearest_mean_kernel`` for nearest-mean. So every decision is
-the kernel's, and the kernel stays the oracle. Interval and mixed-kind
-mixtures, single-point :func:`bayes_decide`, posteriors and costs outside
-[2**-300, 2**900] take the kernel alone.
+On a mixture of Gaussians with one lambda, Bayes, randomized Bayes and
+nearest-mean score every class of a chunk from one product ``X @ M.T``, not
+from k per-class distance passes. One per-row bound on how far those scores
+can be from the kernel's, in any summation order, certifies a row when no
+comparison the rule makes lies within it (``mixtures._product_weights``
+derives it). The kernel recomputes every other row:
+``mixtures._weighted_densities`` for the Bayes rules, the per-class distances
+of ``_nearest_mean_kernel`` for nearest-mean. So every decision is the
+kernel's, and the kernel stays the oracle. The likelihood-ratio rule,
+mixtures whose lambdas differ, interval and mixed-kind mixtures, single-point
+:func:`bayes_decide`, posteriors and costs outside [2**-300, 2**900] take the
+kernel alone.
 """
 
 from __future__ import annotations
@@ -34,10 +35,10 @@ import numpy as np
 
 from .errors import InputError, UnsupportedEvidenceError
 from .mixtures import (
-    _U,
     Mixture,
     UniformInterval,
     _case_chunks,
+    _product,
     _product_weights,
     _weighted_densities,
     posterior,
@@ -209,18 +210,6 @@ def _bayes_ties(mixture: Mixture, cost: CostMatrix, X: np.ndarray) -> np.ndarray
     return scores <= scores.min(axis=0) * (1.0 + TIE_RTOL)
 
 
-def _product_form(mixture: Mixture, cost: CostMatrix):
-    """The mixture's ``_Product``, or None when it has none or a cost could make a certified score subnormal.
-
-    Positive costs in [2**-300, 2**900] keep every cost times a weight of at least
-    ``e**-400`` a normal double, and every score finite.
-    """
-    positive = cost.values[cost.values > 0]
-    if positive.size and not (2.0**-300 <= positive.min() and positive.max() <= 2.0**900):
-        return None
-    return mixture._labels.product
-
-
 def _with_kernel(out: np.ndarray, ok: np.ndarray, X: np.ndarray, kernel) -> np.ndarray:
     """``out`` with every column that ``ok`` leaves uncertain replaced by ``kernel`` on its rows of ``X``."""
     uncertain = np.flatnonzero(~ok)
@@ -233,17 +222,21 @@ def _with_kernel(out: np.ndarray, ok: np.ndarray, X: np.ndarray, kernel) -> np.n
     return out
 
 
-def _certified_ties(mixture: Mixture, cost: CostMatrix, product, X: np.ndarray) -> np.ndarray:
-    """The :func:`_bayes_ties` mask, from the product form on every row where it is certain.
+def _certified_ties(mixture: Mixture, cost: CostMatrix, X: np.ndarray) -> np.ndarray:
+    """The :func:`_bayes_ties` mask, from the mixture's product form on every row where it is certain.
 
     A row is certain when no score lies within the factor ``exp(+-eta)`` of the
     tie threshold (see ``mixtures._product_weights``); the kernel recomputes the rest.
+    The product form needs positive costs in [2**-300, 2**900]: they keep every cost
+    times a weight of at least ``e**-400`` a normal double, and every score finite.
     """
-    if product is None:
+    product = mixture._labels.product
+    positive = cost.values[cost.values > 0]
+    if product is None or (positive.size and not (2.0**-300 <= positive.min() and positive.max() <= 2.0**900)):
         return _bayes_ties(mixture, cost, X)
-    W, eta, ok = _product_weights(product, X)
+    log_w, eta, ok = _product_weights(product, X)
     with np.errstate(all="ignore"):
-        scores = cost.values.T @ W
+        scores = cost.values.T @ np.exp(log_w, out=log_w)
         threshold = scores.min(axis=0) * (1.0 + TIE_RTOL)
         ties = scores <= threshold * np.exp(-eta)
         ok &= (ties | (scores > threshold * np.exp(eta))).all(axis=0)
@@ -259,10 +252,9 @@ def bayes_decide(mixture: Mixture, cost: CostMatrix, x) -> int:
 def bayes_classifier(mixture: Mixture, cost: CostMatrix) -> DeterministicClassifier:
     """The :func:`bayes_decide` rule packaged as a vectorized classifier."""
     _check_cost(mixture, cost)
-    product = _product_form(mixture, cost)
 
     def rule(X: np.ndarray) -> np.ndarray:
-        return np.argmax(_certified_ties(mixture, cost, product, X), axis=0)
+        return np.argmax(_certified_ties(mixture, cost, X), axis=0)
 
     return DeterministicClassifier(mixture.label_count, rule, name="bayes")
 
@@ -274,10 +266,9 @@ def randomized_bayes_classifier(mixture: Mixture, cost: CostMatrix) -> Randomize
     :func:`bayes_decide` at every ``x``; on the two-uniform overlap it is a fair coin.
     """
     _check_cost(mixture, cost)
-    product = _product_form(mixture, cost)
 
     def rule(X: np.ndarray) -> np.ndarray:
-        ties = _certified_ties(mixture, cost, product, X)
+        ties = _certified_ties(mixture, cost, X)
         return (ties / ties.sum(axis=0)).T
 
     return RandomizedClassifier(mixture.label_count, rule, name="randomized-bayes")
@@ -288,10 +279,9 @@ def two_class_likelihood_rule(mixture: Mixture, cost: CostMatrix) -> Determinist
 
     The threshold ``(pi_1 kappa[1,0]) / (pi_0 kappa[0,1])`` makes the rule
     agree with :func:`bayes_decide` wherever the posterior is defined. The
-    comparison is done in product form on the prior-weighted densities, so
-    zero densities need no special casing. On two Gaussians the certified
-    weights of ``mixtures._product_weights`` decide every row whose two sides
-    differ by more than the factor ``exp(eta)``; the kernel decides the rest.
+    comparison is done in product form on the prior-weighted densities of
+    ``mixtures._weighted_densities``, so zero densities need no special casing.
+    Every row takes that kernel; no workload needs a faster path.
     """
     _check_cost(mixture, cost)
     if mixture.label_count != 2:
@@ -301,21 +291,9 @@ def two_class_likelihood_rule(mixture: Mixture, cost: CostMatrix) -> Determinist
     if mixture.priors[0] * k01 <= 0.0:
         raise InputError("likelihood threshold undefined: pi_0 * kappa[0,1] must be positive")
 
-    product = _product_form(mixture, cost)
-
-    def kernel(X: np.ndarray) -> np.ndarray:
+    def rule(X: np.ndarray) -> np.ndarray:
         w = _weighted_densities(mixture, X)
         return np.where(k01 * w[0] > k10 * w[1], 0, 1)
-
-    def rule(X: np.ndarray) -> np.ndarray:
-        if product is None:
-            return kernel(X)
-        W, eta, ok = _product_weights(product, X)
-        with np.errstate(all="ignore"):
-            side0, side1 = k01 * W[0], k10 * W[1]
-            first = side0 > side1 * np.exp(eta)
-            ok &= first | (side0 <= side1 * np.exp(-eta))
-        return _with_kernel(np.where(first, 0, 1), ok, X, kernel)
 
     return DeterministicClassifier(2, rule, name="likelihood-ratio")
 
@@ -333,36 +311,37 @@ def nearest_mean_classifier(mixture: Mixture) -> DeterministicClassifier:
     Requires every component to be Gaussian with a common lambda and equal
     priors; under those assumptions this rule is Bayes-optimal for 0-1 cost.
 
-    The rule takes ``argmax_j (x.mu_j - |mu_j|^2 / 2)`` from one matrix product.
-    Against the kernel's squared distances ``|x - mu_j|^2 = |x|^2 - 2 (x.mu_j - |mu_j|^2 / 2)``,
-    each rounded within ``(d + 2) u (|x| + |mu_j|)^2`` (``u = 2**-53``, any summation
-    order), and the product's scores, each within ``(d + 1) u (|x| + |mu_j|)^2 / 2``,
-    a row is certain when one score leads every other by more than
-    ``2 (d + 6) u ((|x| + max|mu_j|)^2 + 2**-900)``; the last term covers underflow.
-    The per-class distances decide every other row, exact ties included.
+    The rule reads the one bound of ``mixtures._product_weights``, on a product
+    form of its own: the means, the first lambda, zero log priors and a zero
+    ``log_norm``, so its log-weights are ``-|x - mu_j|^2 / (2 lam)`` up to one
+    column shift. It does not reuse the mixture's product, whose priors may differ
+    from equal by up to 1e-12 and would certify against the density kernel. The bound
+    also covers the distance kernel: its rounding of ``|x - mu_j|^2``, scaled by
+    ``h = 1 / (2 lam)``, lies inside the ``(d + 5) u h |x - mu_j|^2`` budgeted for the
+    density kernel. A row is certain when exactly one class has a log-weight of at
+    least ``-eta``, that is ``W >= exp(-eta)`` without the rounding of ``exp``; a
+    comparison of log-weights needs no floor on the weights, so classes far apart stay
+    certain. The per-class distances decide every other row, exact ties included, and
+    every row when lambda is outside [2**-200, 2**200].
     """
     arrays = mixture._labels
     if arrays.is_interval.any():
         raise InputError("nearest-mean rule needs Gaussian components")
     if any(not math.isclose(lam, arrays.lam[0], rel_tol=1e-12) for lam in arrays.lam):
         raise InputError("nearest-mean rule needs a common lambda across components")
-    equal = 1.0 / mixture.label_count
-    if any(abs(p - equal) > 1e-12 for p in mixture.priors):
+    k = mixture.label_count
+    if any(abs(p - 1.0 / k) > 1e-12 for p in mixture.priors):
         raise InputError("nearest-mean rule needs equal priors")
     means = arrays.means
-    half_sq = 0.5 * np.einsum("ij,ij->i", means, means)
-    max_norm = math.sqrt(2.0 * half_sq.max())
-    slope = 2 * (mixture.dimension + 6) * _U
+    product = _product(means, arrays.lam[0], np.zeros(k), 0.0)
 
     def rule(X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)  # the margin is for doubles
-        with np.errstate(all="ignore"):  # inf or nan evidence leaves its row uncertain
-            scores = means @ X.T
-            scores -= half_sq[:, None]
-            margin = slope * ((np.sqrt(np.einsum("ij,ij->i", X, X)) + max_norm) ** 2 + 2.0**-900)
-            near = scores >= scores.max(axis=0) - margin
-            ok = near.sum(axis=0) == 1
-        return _with_kernel(np.argmax(near, axis=0), ok, X, lambda rows: _nearest_mean_kernel(means, rows))
+        if product is None:
+            return _nearest_mean_kernel(means, X)
+        log_w, eta, _ = _product_weights(product, X)
+        near = log_w >= -eta  # inf or nan evidence gives no class or every class: uncertain
+        certain = near.sum(axis=0) == 1
+        return _with_kernel(np.argmax(near, axis=0), certain, X, lambda rows: _nearest_mean_kernel(means, rows))
 
     return DeterministicClassifier(mixture.label_count, rule, name="nearest-mean")
 

@@ -307,6 +307,16 @@ def _exact(A: np.ndarray, BT: np.ndarray, rounds: int) -> bool:
     return integer and float(np.abs(payoffs).max()) * (rounds + sum(A.shape)) < 2.0**53
 
 
+def _check_range(game: NormalFormGame, rounds: int, what: str) -> None:
+    """Refuse payoffs whose scores or payoff sums over ``rounds`` rounds could overflow a double.
+
+    Each is at most ``max|payoff| * (rounds + actions)``, the product :func:`_exact` forms.
+    """
+    big = float(max(np.abs(game.row_payoff).max(), np.abs(game.col_payoff).max()))
+    if big * (rounds + game.row_actions + game.col_actions) >= 2.0**1023:
+        raise InputError(f"payoff magnitude {big:g} over {rounds} {what} could overflow: scale the payoffs down")
+
+
 def _run(scores: list[float], lead: int, slopes: list[int], limit: int) -> int:
     """Rounds, at most ``limit``, for which ``lead`` stays the strict maximum of ``scores + k * slopes``.
 
@@ -412,6 +422,7 @@ def fictitious_play(game: NormalFormGame, iterations: int, tie_seed: int = 0) ->
         raise InputError("fictitious play is only supported for zero-sum games")
     if iterations < 1:
         raise InputError(f"iterations must be >= 1, got {iterations}")
+    _check_range(game, iterations, "iterations")
     A = game.row_payoff
     ties = generator(tie_seed).random(2 * iterations)
     rows = np.empty(iterations, dtype=np.int64)

@@ -21,7 +21,7 @@ from typing import Union
 import numpy as np
 
 from .errors import InputError
-from .games import MixedStrategy, NormalFormGame, _best_responses, game_value
+from .games import MixedStrategy, NormalFormGame, _best_responses, _check_range, game_value
 from .rng import generator, inverse_cdf
 
 __all__ = [
@@ -154,6 +154,7 @@ def run_repeated(
     """
     if rounds < 1:
         raise InputError(f"rounds must be >= 1, got {rounds}")
+    _check_range(game, rounds, "rounds")
     row_actions, row_counts, u_row = _plan(row, game.row_actions, game.col_actions, "row", rounds, generator(seed, 0))
     col_actions, col_counts, u_col = _plan(col, game.col_actions, game.row_actions, "col", rounds, generator(seed, 1))
     A = game.row_payoff

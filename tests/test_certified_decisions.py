@@ -1,11 +1,12 @@
 """The certified product path against the kernel it replaces on Gaussian mixtures.
 
-Bayes, randomized Bayes, nearest-mean and likelihood-ratio rules decide a
-Gaussian mixture from one matrix product and fall back to the log-domain
-kernel (``mixtures._weighted_densities``, ``decisions._nearest_mean_kernel``)
-on every row the rounding bound cannot certify. These tests force rows onto
-and next to decision boundaries and check that every decision is the
-kernel's, and count the rows that fall back.
+Bayes, randomized Bayes and nearest-mean rules decide a Gaussian mixture with
+one lambda from one matrix product and fall back to the log-domain kernel
+(``mixtures._weighted_densities``, ``decisions._nearest_mean_kernel``) on every
+row the rounding bound cannot certify; the likelihood-ratio rule and mixtures
+whose lambdas differ take the kernel alone. These tests force rows onto and
+next to decision boundaries and check that every decision is the kernel's,
+and count the rows that fall back.
 """
 
 import math
@@ -79,7 +80,9 @@ def near_tie_cases(draw):
     Means sit on a quarter grid, so midpoints are exact, or anywhere, so that
     midpoints are within rounding of a tie; duplicate means, a zero prior,
     unequal lambdas, 800-D components and costs with equal columns (two
-    decisions whose scores are always equal) all occur.
+    decisions whose scores are always equal) all occur. Equal priors and
+    lambdas may be jittered within 1e-12 after the rows are placed, which
+    nearest-mean still accepts as equal.
     """
     k = draw(st.integers(2, 4))
     d = draw(st.sampled_from([1, 2, 3, 8, 800]))
@@ -103,7 +106,15 @@ def near_tie_cases(draw):
     cost = 1.0 - np.eye(k) if costs == "zero-one" else rng.integers(0, 4, size=(k, k)).astype(float)
     if costs == "equal-columns":
         cost[:, 1] = cost[:, 0]
-    return p, means, lams, cost, boundary_rows(means, lams, p, rng)
+    X = boundary_rows(means, lams, p, rng)
+    # the rows sit on the unjittered ties, so the jitter alone decides them
+    jitter = draw(st.sampled_from(["none", "priors", "lambdas", "both"]))
+    if jitter in ("priors", "both") and priors == "equal":
+        shift = rng.choice([-4e-13, 4e-13], size=k)
+        p = p + shift - shift.mean()
+    if jitter in ("lambdas", "both") and np.all(lams == lams[0]):
+        lams = lams * (1.0 + rng.uniform(-4e-13, 4e-13, size=k))
+    return p, means, lams, cost, X
 
 
 def build(p, means, lams):
@@ -120,7 +131,8 @@ def assert_decisions_match_the_kernel(case):
         w = mixtures._weighted_densities(mixture, X)
         expected = np.where(cost_values[0, 1] * w[0] > cost_values[1, 0] * w[1], 0, 1)
         assert np.array_equal(two_class_likelihood_rule(mixture, cost).decide_batch(X), expected)
-    if np.all(p == p[0]) and np.all(lams == lams[0]):
+    k = len(p)
+    if np.all(np.abs(p - 1.0 / k) <= 1e-12) and all(math.isclose(lj, lams[0], rel_tol=1e-12) for lj in lams):
         nearest = nearest_mean_classifier(mixture).decide_batch(X)
         assert np.array_equal(nearest, decisions._nearest_mean_kernel(means, X))
 
@@ -134,9 +146,20 @@ def test_certified_decisions_are_the_kernels_on_forced_near_ties(case):
 @settings(derandomize=True, max_examples=50, deadline=None)
 @given(near_tie_cases())
 def test_an_infinite_bound_sends_every_row_to_the_kernel(case):
-    # an infinite unit roundoff makes every bound infinite (or nan): no row is certain
-    with mock.patch.object(mixtures, "_U", math.inf), mock.patch.object(decisions, "_U", math.inf):
+    # an infinite unit roundoff makes every bound infinite (or nan): no row is certain;
+    # nearest-mean's bound comes from mixtures too
+    with mock.patch.object(mixtures, "_U", math.inf):
         assert_decisions_match_the_kernel(case)
+
+
+def test_nearest_mean_decides_by_distance_when_priors_are_nearly_equal():
+    # priors within 1e-12 of equal tilt the density kernel toward class 0 just past the midpoint;
+    # nearest-mean accepts them as equal and must still follow the distances
+    mixture = build([0.5 + 5e-13, 0.5 - 5e-13], np.array([[0.0], [2.0]]), [1.0, 1.0])
+    X = 1.0 + np.array([[5e-13], [2e-13], [-5e-13], [1e-12], [0.0]])
+    nearest = nearest_mean_classifier(mixture).decide_batch(X)
+    assert np.array_equal(nearest, decisions._nearest_mean_kernel(mixture._labels.means, X))
+    assert nearest.tolist() == [1, 1, 0, 1, 0]
 
 
 class KernelRows:
@@ -212,11 +235,43 @@ def test_rows_off_the_bisector_take_the_product(monkeypatch):
     X = np.random.default_rng(5).normal(size=(1000, 2))
     X = X[np.abs((X - [1.0, 0.5]) @ [2.0, 1.0]) > 1e-6]
     rows = KernelRows(monkeypatch)
-    for rule in (bayes_classifier(BISECTED, ZERO_ONE), nearest_mean_classifier(BISECTED),
-                 two_class_likelihood_rule(BISECTED, ZERO_ONE)):
+    for rule in (bayes_classifier(BISECTED, ZERO_ONE), nearest_mean_classifier(BISECTED)):
         rule.decide_batch(X)
     randomized_bayes_classifier(BISECTED, ZERO_ONE).distributions(X)
     assert (rows.bayes, rows.nearest, rows.weighted) == (0, 0, 0)
+
+
+def test_nearest_mean_stays_certain_on_classes_far_apart(monkeypatch):
+    # at either mean the other class's log-weight is 1800 below: far past the weights' e**-400 floor
+    mixture = gaussian_mixture([[0.0], [60.0]], 1.0)
+    X = np.random.default_rng(9).normal(size=(400, 1)) + np.repeat([[0.0], [60.0]], 200, axis=0)
+    rows = KernelRows(monkeypatch)
+    nearest = nearest_mean_classifier(mixture).decide_batch(X)
+    assert rows.nearest == 0
+    assert np.array_equal(nearest, decisions._nearest_mean_kernel(mixture._labels.means, X))
+
+
+@pytest.mark.parametrize("lam", [2.0**-210, 2.0**210])
+def test_nearest_mean_outside_the_lambda_range_takes_the_kernel(monkeypatch, lam):
+    means = np.array([[0.0, 0.0], [2.0, 1.0], [-1.0, 3.0]]) * math.sqrt(lam)
+    mixture = gaussian_mixture(means, lam)
+    X = np.random.default_rng(7).normal(size=(200, 2)) * math.sqrt(lam)
+    X = np.r_[X, (means[:1] + means[1:2]) / 2.0]
+    rows = KernelRows(monkeypatch)
+    nearest = nearest_mean_classifier(mixture).decide_batch(X)
+    assert rows.nearest == len(X)
+    assert np.array_equal(nearest, decisions._nearest_mean_kernel(means, X))
+
+
+def test_unequal_lambdas_and_the_likelihood_ratio_rule_take_the_kernel(monkeypatch):
+    X = np.random.default_rng(8).normal(size=(300, 2))
+    mixture = build([0.5, 0.5], np.array([[0.0, 0.0], [2.0, 1.0]]), [0.8, 1.6])
+    rows = KernelRows(monkeypatch)
+    bayes_classifier(mixture, ZERO_ONE).decide_batch(X)
+    randomized_bayes_classifier(mixture, ZERO_ONE).distributions(X)
+    assert (rows.bayes, rows.weighted) == (2 * len(X), 2 * len(X))  # the Bayes kernel reads the weights
+    two_class_likelihood_rule(BISECTED, ZERO_ONE).decide_batch(X)
+    assert (rows.bayes, rows.weighted) == (2 * len(X), 3 * len(X))
 
 
 def test_infinite_evidence_is_refused_by_its_row_in_the_batch():

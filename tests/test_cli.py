@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from randrule.cli import main
+from randrule.cli import build_parser, main
 
 OVERLAP_MIXTURE = {
     "dimension": 1,
@@ -618,7 +618,40 @@ def test_flags_a_subcommand_does_not_read_are_refused(capsys, survey_file, tmp_p
     assert f"unrecognized arguments: {' '.join(flag)}" in err
 
 
+# 2**1013 * (1020 rounds + 4 actions) = 2**1023: the smallest score bound that is refused
+EDGE_PAYOFF, EDGE_ROUNDS = 2.0**1013, "1020"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve-game", "--method", "fp", "--iters", EDGE_ROUNDS],
+        ["simulate-repeated", "--row", "pure:0", "--col", "exploiter", "--rounds", EDGE_ROUNDS],
+        ["simulate-repeated", "--row", "mixed:0.5,0.5", "--col", "mixed:0.5,0.5", "--rounds", EDGE_ROUNDS],
+    ],
+    ids=["fp", "pure-vs-exploiter", "mixed-vs-mixed"],
+)
+def test_payoffs_whose_sums_could_overflow_are_refused(capsys, argv):
+    def game(p):
+        return json.dumps({"row_payoff": [[p, -p], [-p, p]], "zero_sum": True})
+
+    for payoff in (1e308, EDGE_PAYOFF):
+        code, out, err = run(capsys, *argv, "--game", game(payoff))
+        assert (code, out) == (2, "")
+        assert f"payoff magnitude {payoff:g} over {EDGE_ROUNDS} " in err
+    code, out, err = run(capsys, *argv, "--game", game(math.nextafter(EDGE_PAYOFF, 0.0)))
+    assert (code, err) == (0, "")
+    assert "inf" not in out and "nan" not in out
+
+
 class TestParser:
+    def test_one_parser_serves_every_call_without_carrying_state(self, capsys):
+        assert build_parser() is not build_parser()
+        assert run(capsys, "solve-game", "--game", "rps")[0] == 0
+        code, out, err = run(capsys, "solve-game")
+        assert (code, out) == (2, "")
+        assert "no game given" in err
+
     def test_unknown_subcommand_exits_2(self, capsys):
         assert main(["frobnicate"]) == 2
 
