@@ -25,6 +25,7 @@ from .errors import InputError
 
 __all__ = [
     "DEFAULT_LIKERT_LABELS",
+    "MAX_CATEGORIES",
     "diverging_palette",
     "render_diverging_chart",
     "render_grouped_chart",
@@ -42,6 +43,8 @@ WIDTH = 840
 LEFT_MARGIN = 150
 RIGHT_MARGIN = 24
 PLOT_WIDTH = WIDTH - LEFT_MARGIN - RIGHT_MARGIN
+# a chart gives each category at least one pixel of its plot
+MAX_CATEGORIES = PLOT_WIDTH
 TOP_MARGIN = 46
 ROW_HEIGHT = 26
 ROW_GAP = 12

@@ -34,8 +34,10 @@ SampleLike = Union["OrdinalSample", Sequence[float], np.ndarray]
 class OrdinalSample:
     """Ordered responses; optionally validated against 1..k category codes.
 
-    The histogram is ``levels``, the sorted distinct values (for a coded
-    sample, 1 up to its largest code), and ``counts``, how often each occurs.
+    The histogram is ``levels``, the sorted distinct values, and ``counts``,
+    how often each occurs; its size follows the data, not the category count.
+    A coded sample takes codes 1..k below 2**53, where every integer is a
+    float.
     """
 
     values: np.ndarray
@@ -50,15 +52,14 @@ class OrdinalSample:
         if not np.all(np.isfinite(v)):
             raise InputError("sample values must be finite")
         k = self.category_count
-        if k is None:
-            levels, counts = np.unique(v, return_counts=True)
-        else:
+        if k is not None:
             if k < 1:
                 raise InputError(f"category count must be >= 1, got {k}")
-            if np.any(v != np.round(v)) or v.min() < 1 or v.max() > k:
-                raise InputError(f"category codes must be integers in 1..{k}")
-            counts = np.bincount(v.astype(np.intp))[1:]
-            levels = np.arange(1.0, counts.size + 1)
+            # an integer from 2**53 on may have been rounded on its way to float
+            top = min(k, 2**53 - 1)
+            if np.any(v != np.round(v)) or v.min() < 1 or v.max() > top:
+                raise InputError(f"category codes must be integers in 1..{top}")
+        levels, counts = np.unique(v, return_counts=True)
         for name, array in (("values", v), ("levels", levels), ("counts", counts)):
             array.flags.writeable = False
             object.__setattr__(self, name, array)

@@ -15,7 +15,9 @@ from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
 
-from .charts import DEFAULT_LIKERT_LABELS, render_diverging_chart, render_grouped_chart
+import numpy as np
+
+from .charts import DEFAULT_LIKERT_LABELS, MAX_CATEGORIES, render_diverging_chart, render_grouped_chart
 from .errors import InputError
 from .ordinal import DescriptiveSummary, descriptive_summary
 from .survey import GroupComparison, SurveyDataset, check_request, compare_groups
@@ -67,7 +69,8 @@ def run_report(
     """Build the report bundle; optionally write CSV and SVG files to ``out_dir``.
 
     ``alpha``, the questions and the groups are checked up front, with the
-    messages of :func:`compare_groups`. Questions in ``categorical`` are
+    messages of :func:`compare_groups`, and so is a category count above
+    ``charts.MAX_CATEGORIES``. Questions in ``categorical`` are
     charted as grouped bars and excluded from rank testing. Every other
     question gets a diverging chart plus all pairwise group comparisons at
     level ``alpha``. Each (question, group) sample is built once, by the
@@ -81,6 +84,8 @@ def run_report(
         raise InputError("report needs at least one group")
     check_request(dataset, questions, groups, alpha)
     k = dataset.category_count
+    if k > MAX_CATEGORIES:
+        raise InputError(f"{k} categories are more than a chart can draw (at most {MAX_CATEGORIES})")
     default = DEFAULT_LIKERT_LABELS if k == len(DEFAULT_LIKERT_LABELS) else tuple(map(str, range(1, k + 1)))
     labels = tuple(category_labels) if category_labels is not None else default
     if len(labels) != k:
@@ -101,8 +106,11 @@ def run_report(
         samples = [dataset.sample(question, g) for g in groups]
         notes = [f"low-n: group {g!r} has {s.n} response(s) for {question!r}"
                  for g, s in zip(groups, samples) if s.n < LOW_N_THRESHOLD]
-        # a coded histogram stops at its largest code; the chart shows all k
-        counts = [s.counts.tolist() + [0] * (k - s.counts.size) for s in samples]
+        # a histogram holds the codes that occur; the chart shows all k
+        rows = np.zeros((len(samples), k), dtype=np.int64)
+        for row, s in zip(rows, samples):
+            row[s.levels.astype(np.intp) - 1] = s.counts
+        counts = rows.tolist()
         if question in categorical:
             chart = render_grouped_chart(question, groups, counts, labels)
             notes.append("categorical options: rank comparison and ordinal summaries omitted")

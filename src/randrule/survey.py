@@ -4,6 +4,12 @@ The on-disk format is a long-form CSV with header
 ``respondent_id,group,question,response``; one row per answered (or skipped)
 question, responses coded 1..k, an empty field meaning missing. Each
 (respondent, question) pair may appear once.
+
+A file is read by one of two routes. Plain files (ASCII, no quotes, no
+whitespace but newlines, the exact header, every row 4 fields wide, responses
+written as bare codes) are parsed as bytes in numpy. Every other file goes
+through ``csv.reader``, which is the reference: both routes give the same
+dataset, and only the ``csv.reader`` route words a parse error.
 """
 
 from __future__ import annotations
@@ -39,7 +45,10 @@ class SurveyRecord:
     response: int | None
 
 
-def _encode(column: list[str]) -> tuple[list[str], np.ndarray]:
+Encoded = tuple[list[str], np.ndarray]
+
+
+def _encode(column: list[str]) -> Encoded:
     """Distinct values in first-appearance order, and each row's position among them."""
     names = dict.fromkeys(column)
     code = dict(zip(names, range(len(names))))
@@ -49,14 +58,15 @@ def _encode(column: list[str]) -> tuple[list[str], np.ndarray]:
 class _Columns(Sequence[SurveyRecord]):
     """Survey rows held as columns and read back as records one at a time.
 
-    Respondent, group and question are dictionary-encoded; ``response`` holds
-    the response codes, 0 meaning missing.
+    Respondent, group and question are dictionary-encoded, each as the
+    ``_encode`` pair (distinct names, each row's position among them);
+    ``response`` holds the response codes, 0 meaning missing.
     """
 
-    def __init__(self, respondent: list[str], group: list[str], question: list[str], response: np.ndarray) -> None:
-        self.respondents, self.respondent = _encode(respondent)
-        self.groups, self.group = _encode(group)
-        self.questions, self.question = _encode(question)
+    def __init__(self, respondent: Encoded, group: Encoded, question: Encoded, response: np.ndarray) -> None:
+        self.respondents, self.respondent = respondent
+        self.groups, self.group = group
+        self.questions, self.question = question
         self.response = response
 
     def __len__(self) -> int:
@@ -98,7 +108,10 @@ class SurveyDataset:
         if response.dtype.kind not in "iu":
             raise InputError(f"responses must be integers or None, got {response.dtype} values")
         columns = _Columns(
-            [r.respondent_id for r in records], [r.group for r in records], [r.question for r in records], response
+            _encode([r.respondent_id for r in records]),
+            _encode([r.group for r in records]),
+            _encode([r.question for r in records]),
+            response,
         )
         self._index_columns(columns, category_count, records)
 
@@ -173,17 +186,145 @@ class SurveyDataset:
         return sample
 
 
+# the header line exactly as the byte route accepts it
+_ASCII_HEADER = (",".join(CSV_HEADER) + "\n").encode()
+_BOM = b"\xef\xbb\xbf"
+# ASCII bytes that send a file to the csv route: NUL, the quote, and every byte
+# str.isspace accepts but the newline, so no field needs a strip; the quote is the largest
+_OFF_ROUTE = np.array([c == 0 or chr(c) == '"' or (chr(c).isspace() and chr(c) != "\n") for c in range(ord('"') + 1)])
+# int64 holds every number of this many decimal digits
+_MAX_DIGITS = 18
+# a name column is copied into its key matrix one byte position per pass; a column
+# may take as many passes as it has rows, or this many if it has fewer rows
+_FREE_PASSES = 64
+
+
+def _byte_codes(body: np.ndarray, start: np.ndarray, end: np.ndarray, width: int, category_count: int) -> np.ndarray | None:
+    """Response codes of fields at most ``width`` bytes long that are empty (0) or a code
+    1..k written without a leading zero, or None if any field is spelled otherwise.
+    Separators read as 0."""
+    code = np.zeros(start.size, dtype=np.int64)
+    for p in range(width):
+        digit = body[np.minimum(start + p, end)] - ord("0")  # a separator wraps past 9
+        is_digit = digit <= 9
+        # every byte of a field is a digit, and the first is not 0
+        if not np.array_equal(is_digit, end - start > p) or (p == 0 and not digit.all()):
+            return None
+        code = np.where(is_digit, code * 10 + digit, code)
+    return code if int(code.max()) <= category_count else None
+
+
+def _byte_names(body: np.ndarray, start: np.ndarray, end: np.ndarray, width: int) -> Encoded:
+    """``_encode`` of one column of fields at most ``width`` bytes long, without a
+    string per row. Separators read as 0."""
+    width = max(width, 1)
+    keys = np.empty((start.size, width), dtype=np.uint8)
+    for p in range(width):
+        keys[:, p] = body[np.minimum(start + p, end)]
+    # S{width} drops the zero padding; the fields hold no NUL to lose with it
+    distinct, first, inverse = np.unique(keys.view(f"S{width}").ravel(), return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty(order.size, dtype=np.intp)
+    rank[order] = np.arange(order.size)
+    return [name.decode("ascii") for name in distinct[order].tolist()], rank[inverse]
+
+
+def _byte_columns(path: Path, category_count: int) -> tuple[_Columns, list[int]] | None:
+    """The columns and blank rows of a plain file (see ``load_survey_csv``), parsed as
+    bytes; None sends the file to the csv route, and so does a file with no record.
+    Every test that can send the file away runs before any column is built, and a file
+    whose first line is not the header costs one small read."""
+    try:
+        if path.stat().st_size >= 2**31 - 1:  # the offsets are int32
+            return None
+        with path.open("rb") as f:
+            head = f.read(len(_BOM) + len(_ASCII_HEADER))
+        skip = len(_BOM) if head.startswith(_BOM) else 0
+        if head[skip : skip + len(_ASCII_HEADER)] != _ASCII_HEADER:
+            return None
+        body = np.fromfile(path, dtype=np.uint8, offset=skip + len(_ASCII_HEADER))
+    except OSError:
+        return None
+    if body.size and (body.max() > 127 or _OFF_ROUTE[body[body <= ord('"')]].any()):
+        return None
+    if body.size and body[-1] != ord("\n"):
+        body = np.append(body, np.uint8(ord("\n")))
+    ends = np.flatnonzero((body == ord(",")) | (body == ord("\n"))).astype(np.int32)  # each field's separator
+    starts = np.empty_like(ends)
+    starts[:1] = 0
+    starts[1:] = ends[:-1] + 1
+    last = np.flatnonzero(body[ends] == ord("\n"))  # each row's last field
+    widths = np.diff(last, prepend=-1)
+    blank = (widths == 1) & (starts[last] == ends[last])
+    if not np.all(blank | (widths == 4)):
+        return None
+    blank_rows = np.flatnonzero(blank)
+    blanks = (blank_rows - np.arange(blank_rows.size)).tolist()  # records read before each blank row
+    if blanks:
+        kept = np.repeat(~blank, widths)
+        starts, ends = starts[kept], ends[kept]
+    if not ends.size:
+        return None
+    rows = ends.size // 4
+    longest = [int((ends[j::4] - starts[j::4]).max()) for j in range(4)]  # each column's widest field
+    if max(longest) > csv.field_size_limit() or longest[3] > _MAX_DIGITS:
+        return None
+    # a key matrix no larger than the file, and no more passes than max(rows, _FREE_PASSES)
+    if any(w > max(rows, _FREE_PASSES) or rows * w > body.size for w in longest[:3]):
+        return None
+    body[ends] = 0
+    starts, ends = starts.reshape(-1, 4).T, ends.reshape(-1, 4).T
+    response = _byte_codes(body, starts[3], ends[3], longest[3], category_count)
+    if response is None:
+        return None
+    names = [_byte_names(body, starts[j], ends[j], longest[j]) for j in range(3)]
+    return _Columns(*names, response), blanks
+
+
+def _line(blanks: list[int], i: int) -> int:
+    """The line of record ``i``: rows count from 1 at the header, blank rows included."""
+    return 2 + i + bisect_right(blanks, i)
+
+
+def _indexed(path: Path, columns: _Columns, category_count: int, blanks: list[int]) -> SurveyDataset:
+    """The dataset of ``columns``; a bad record's error names its line."""
+    try:
+        return SurveyDataset._from_columns(columns, category_count)
+    except _RowError as exc:
+        raise InputError(f"{path}:{_line(blanks, exc.row)}: {exc}") from exc
+
+
 def load_survey_csv(path: str | Path, category_count: int = 5) -> SurveyDataset:
     """Parse and validate a survey CSV; errors carry the offending line number.
 
     Rows count from 1 at the header, blank rows included. A UTF-8 byte-order
-    mark is skipped.
+    mark is skipped. A plain file is parsed as bytes in numpy: after the
+    mark it is ASCII with no NUL, no quote and no whitespace but ``\n``, its
+    first line is exactly the header, every row is blank or 4 fields wide, no
+    field is longer than ``csv.field_size_limit()``, and every response is
+    empty or a code 1..k with no leading zero. Any other file is read whole
+    by ``csv.reader`` and stripped field by field, and so is one whose names
+    would need a key matrix larger than the file, or a name longer than both
+    its column's row count and 64 bytes (the matrix is filled one byte
+    position per pass). That route words every parse error, and both give
+    the same dataset on a plain file. A file whose first line is not the
+    header costs the byte route one small read; one that fails later costs
+    it a scan of the whole file first.
     """
     if category_count < 2:
         raise InputError(f"category count must be >= 2, got {category_count}")
     path = Path(path)
     if not path.exists():
         raise InputError(f"survey file not found: {path}")
+    parsed = _byte_columns(path, category_count)
+    if parsed is None:
+        return _csv_rows(path, category_count)
+    columns, blanks = parsed
+    return _indexed(path, columns, category_count, blanks)
+
+
+def _csv_rows(path: Path, category_count: int) -> SurveyDataset:
+    """``load_survey_csv`` by ``csv.reader``, for any file."""
     fields: list[str] = []
     blanks: list[int] = []  # the number of records read before each blank row
     header = bad_row = None  # bad_row: why the row after the last record read was refused
@@ -213,9 +354,6 @@ def load_survey_csv(path: str | Path, category_count: int = 5) -> SurveyDataset:
         # like a row of the wrong width: a bad response on an earlier row wins
         bad_row = str(exc)
 
-    def line(i: int) -> int:
-        return 2 + i + bisect_right(blanks, i)
-
     raw = list(map(str.strip, fields[3::4]))
     # the table never outgrows the rows; codes beyond it go through int() below
     table = {str(v): v for v in range(1, min(category_count, len(raw)) + 1)}
@@ -241,16 +379,12 @@ def load_survey_csv(path: str | Path, category_count: int = 5) -> SurveyDataset:
         del codes[stop[0] :]  # the records before the refused one are checked first
     elif not codes:
         raise InputError(f"{path}: no records")
-    try:
-        if codes:
-            # the string columns live only until they are encoded
-            strings = (list(map(str.strip, fields[j : 4 * len(codes) : 4])) for j in range(3))
-            columns = _Columns(*strings, np.array(codes))
-            dataset = SurveyDataset._from_columns(columns, category_count)
-    except _RowError as exc:
-        raise InputError(f"{path}:{line(exc.row)}: {exc}") from exc
+    if codes:
+        # the string columns live only until they are encoded
+        names = (_encode(list(map(str.strip, fields[j : 4 * len(codes) : 4]))) for j in range(3))
+        dataset = _indexed(path, _Columns(*names, np.array(codes)), category_count, blanks)
     if stop is not None:
-        raise InputError(f"{path}:{line(stop[0])}: {stop[1]}")
+        raise InputError(f"{path}:{_line(blanks, stop[0])}: {stop[1]}")
     return dataset
 
 

@@ -13,7 +13,8 @@ from pathlib import Path
 import pytest
 
 import randrule.survey
-from randrule import SurveyDataset, SurveyRecord, compare_groups
+from randrule import SurveyDataset, SurveyRecord, compare_groups, load_survey_csv
+from test_survey import Routes
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -93,3 +94,12 @@ def test_survey_report_traces_loading_rank_tests_and_charts(tracing, tmp_path):
         assert metrics[layer] > 0, layer
     # 5 ordinal questions x 6 pairs of the 4 groups; one chart per question
     assert metrics["ordinal.mwu_calls"] == 30 and metrics["charts.count"] == 6
+
+
+def test_the_survey_workload_file_takes_the_byte_route(tracing, tmp_path, monkeypatch):
+    # a silent fall back to csv.reader gives the same datasets, so only this test sees it
+    workload = tracing.workloads.WORKLOADS["survey-report"](1, tmp_path)
+    routes = Routes(monkeypatch)
+    dataset = load_survey_csv(workload.csv_path)
+    assert (routes.byte, routes.csv) == (1, 0)
+    assert len(dataset.records) == workload.items

@@ -2,9 +2,11 @@ import csv
 import io
 import json
 import math
+import time
 
 import pytest
 
+from randrule.charts import MAX_CATEGORIES
 from randrule.cli import build_parser, main
 
 OVERLAP_MIXTURE = {
@@ -374,6 +376,22 @@ class TestCompare:
         assert code == 0
         assert out == run(capsys, *argv, "--categories", "5")[1]
 
+    def test_a_large_code_costs_what_the_data_costs(self, capsys, tmp_path):
+        path = tmp_path / "survey.csv"
+        path.write_text("respondent_id,group,question,response\nr1,g1,q1,999999999\nr2,g2,q1,1\nr3,g2,q1,2\n")
+        argv = ["compare", "--data", str(path), "--question", "q1", "--groups", "g1,g2", "--format", "csv"]
+        code, out, err = run(capsys, *argv, "--categories", "1000000000")
+        assert (code, err) == (0, "")
+        assert csv_out(out)[1][3] == "2"
+
+    def test_a_code_past_int64_is_an_input_error(self, capsys, tmp_path):
+        path = tmp_path / "survey.csv"
+        path.write_text(f"respondent_id,group,question,response\nr1,g1,q1,{10**20}\nr2,g2,q1,1\n")
+        argv = ["compare", "--data", str(path), "--question", "q1", "--groups", "g1,g2"]
+        code, out, err = run(capsys, *argv, "--categories", str(10**30))
+        assert (code, out) == (2, "")
+        assert err == "error: category codes must be integers in 1..9007199254740991\n"
+
     @pytest.mark.parametrize("categories", ["-3", "0", "1"])
     def test_a_category_count_below_2_blames_the_argument(self, capsys, survey_file, categories):
         argv = ["compare", "--data", survey_file, "--question", "q1", "--groups", "teachers,academics"]
@@ -530,6 +548,17 @@ class TestReport:
         assert (out_dir / "comparisons.csv").exists()
         assert (out_dir / "q1.svg").exists()
         assert "wrote" in out
+
+    def test_a_huge_category_count_is_refused_before_any_work(self, capsys, survey_file, tmp_path):
+        out_dir = tmp_path / "report"
+        start = time.perf_counter()
+        code, out, err = run(capsys, "report", "--data", survey_file, "--out-dir", str(out_dir), "--categories", "1000000000")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err == f"error: 1000000000 categories are more than a chart can draw (at most {MAX_CATEGORIES})\n"
+        assert not out_dir.exists()
+        code = run(capsys, "report", "--data", survey_file, "--out-dir", str(out_dir), "--categories", str(MAX_CATEGORIES))[0]
+        assert code == 0
 
     def test_out_dir_that_is_a_file_is_an_input_error(self, capsys, survey_file, tmp_path):
         blocker = tmp_path / "report"

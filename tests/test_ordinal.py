@@ -126,9 +126,17 @@ class TestOrdinalSample:
             OrdinalSample(np.array([]))
 
     def test_the_histogram_stops_at_the_largest_code(self):
+        # the histogram holds the codes that occur, so its size follows the data and not k
         s = OrdinalSample(np.array([1, 3, 3]), category_count=10**12)
-        assert s.levels.tolist() == [1.0, 2.0, 3.0]
-        assert s.counts.tolist() == [1, 0, 2]
+        assert s.levels.tolist() == [1.0, 3.0]
+        assert s.counts.tolist() == [1, 2]
+
+    def test_a_code_float_cannot_hold_exactly_is_refused(self):
+        OrdinalSample(np.array([1, 2**53 - 1]), category_count=10**30)
+        with pytest.raises(InputError, match=r"^category codes must be integers in 1\.\.9007199254740991$"):
+            OrdinalSample(np.array([1, 2**53 + 1]), category_count=10**30)
+        with pytest.raises(InputError, match=r"^category codes must be integers in 1\.\.5$"):
+            OrdinalSample(np.array([1, 2**53 + 1]), category_count=5)
 
 
 class TestDescriptiveSummary:

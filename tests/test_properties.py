@@ -51,11 +51,12 @@ from randrule import (
     solve_zero_sum,
     zero_sum_game,
 )
-from randrule import games
+from randrule import games, survey
 from randrule.cli import main
 from randrule.rng import generator, inverse_cdf
 from randrule.survey import CSV_HEADER
 from test_games import linprog_value
+from test_survey import Routes, loaded
 
 # derandomized so that every run checks the same examples
 PROPERTY = settings(derandomize=True, max_examples=200, deadline=None)
@@ -295,53 +296,101 @@ def survey_csv(draw, k):
     return buf.getvalue()
 
 
-@PROPERTY
-@given(st.sampled_from([2, 5, 300]).flatmap(lambda k: st.tuples(st.just(k), survey_csv(k))))
-def test_columnar_loader_matches_the_row_by_row_loader(survey):
-    k, text = survey
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "survey.csv"
-        path.write_text(text, encoding="utf-8", newline="")
-        try:
-            expected = row_by_row_load(path, k)
-        except InputError as exc:
-            with pytest.raises(InputError) as got:
-                load_survey_csv(path, k)
-            assert str(got.value) == str(exc)
-            return
-        ds = load_survey_csv(path, k)
-    records, groups, index = expected
-    assert len(ds.records) == len(records)
-    for i, rec in enumerate(records):
-        assert ds.records[i] == rec
-    assert ds.groups() == groups
-    assert ds.questions() == list(index)
-    for question in index:
-        for group in groups + ["g9"]:
-            assert ds.responses(question, group) == index[question].get(group, [])
+@st.composite
+def plain_survey_csv(draw, k):
+    """Survey text for the byte route: unquoted ASCII, ``\n`` endings, bare codes up to
+    k, blank rows, empty groups and questions, and duplicates. A row of the wrong width
+    or a response the route does not read sends the file to the csv route."""
+    lines = [",".join(CSV_HEADER)]
+    for _ in range(draw(st.integers(0, 20))):
+        kind = draw(st.sampled_from(["row"] * 20 + ["blank", "blank", "wide", "odd"]))
+        if kind == "blank":
+            lines.append("")
+            continue
+        if kind == "wide":
+            lines.append(",".join(draw(wrong_width)))
+            continue
+        respondent = f"r{draw(st.integers(1, 25))}"
+        group = draw(st.sampled_from(["g1", "g2", "g3"]))
+        question = draw(st.sampled_from(["q1", "q2", "q3"]))
+        response = draw(st.sampled_from(["", str(k)]) | st.integers(1, k).map(str))
+        if kind == "odd" and draw(st.booleans()):
+            group, question = draw(st.sampled_from([("", question), (group, ""), ("", "")]))
+        elif kind == "odd":
+            response = draw(st.sampled_from(["0", "02", str(k + 1), "x", "-1", "1" * 19]))
+        lines.append(",".join([respondent, group, question, response]))
+    return "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
+
+
+def any_survey_csv(k):
+    return survey_csv(k) | plain_survey_csv(k)
+
+
+def test_columnar_loader_matches_the_row_by_row_loader(monkeypatch):
+    routes = Routes(monkeypatch)
+
+    # twice the examples, so survey_csv draws as many files as it did alone
+    @settings(PROPERTY, max_examples=400)
+    @given(st.sampled_from([2, 5, 300]).flatmap(lambda k: st.tuples(st.just(k), any_survey_csv(k))))
+    def check(survey_text):
+        k, text = survey_text
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "survey.csv"
+            path.write_text(text, encoding="utf-8", newline="")
+            # the route load_survey_csv takes and the csv route agree on the same bytes
+            got = loaded(load_survey_csv, path, k)
+            assert got == loaded(survey._csv_rows, path, k)
+            try:
+                expected = row_by_row_load(path, k)
+            except InputError as exc:
+                assert got == str(exc)
+                return
+            ds = load_survey_csv(path, k)
+        records, groups, index = expected
+        assert len(ds.records) == len(records)
+        for i, rec in enumerate(records):
+            assert ds.records[i] == rec
+        assert ds.groups() == groups
+        assert ds.questions() == list(index)
+        for question in index:
+            for group in groups + ["g9"]:
+                assert ds.responses(question, group) == index[question].get(group, [])
+
+    check()
+    # 117 loads take the byte route; a silent fall back leaves none
+    assert routes.byte >= 80
 
 
 # a question field one character past the csv module's default field limit
 LONG_FIELD = f"{','.join(CSV_HEADER)}\nr1,g1,q1,1\nr2,g2,{'q' * 131_073},2\n"
 
 
-@settings(derandomize=True, max_examples=500, deadline=None)
-@given(
-    st.one_of(
-        st.binary(max_size=200),
-        st.text(max_size=200).map(str.encode),
-        st.text(max_size=200).map(lambda t: f"{','.join(CSV_HEADER)}\n{t}".encode()),
-        st.sampled_from([2, 5, 300]).flatmap(survey_csv).map(str.encode),
-        st.just(LONG_FIELD.encode()),
-    ),
-    st.sampled_from(["2", "5", "300", "1000000000"]),
-)
-def test_any_survey_file_exits_0_or_2(data, categories):
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "survey.csv"
-        path.write_bytes(data)
-        argv = ["compare", "--data", str(path), "--question", "q1", "--groups", "g1,g2", "--categories", categories]
-        assert main(argv) in (0, 2)
+def test_any_survey_file_exits_0_or_2(monkeypatch):
+    routes = Routes(monkeypatch)
+
+    # 100 examples per kind of file, as before plain_survey_csv joined
+    @settings(derandomize=True, max_examples=600, deadline=None)
+    @given(
+        st.one_of(
+            st.binary(max_size=200),
+            st.text(max_size=200).map(str.encode),
+            st.text(max_size=200).map(lambda t: f"{','.join(CSV_HEADER)}\n{t}".encode()),
+            st.sampled_from([2, 5, 300]).flatmap(survey_csv).map(str.encode),
+            st.sampled_from([2, 5, 300]).flatmap(plain_survey_csv).map(str.encode),
+            st.just(LONG_FIELD.encode()),
+        ),
+        st.sampled_from(["2", "5", "300", "1000000000"]),
+    )
+    def check(data, categories):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "survey.csv"
+            path.write_bytes(data)
+            argv = ["compare", "--data", str(path), "--question", "q1", "--groups", "g1,g2", "--categories", categories]
+            assert main(argv) in (0, 2)
+
+    check()
+    # 89 files take the byte route; a silent fall back to the csv route leaves none
+    assert routes.byte >= 60
 
 
 FUZZ = settings(derandomize=True, max_examples=500, deadline=None)

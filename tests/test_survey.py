@@ -1,3 +1,5 @@
+import csv
+
 import pytest
 
 from randrule import (
@@ -7,6 +9,7 @@ from randrule import (
     compare_groups,
     load_survey_csv,
 )
+from randrule import survey
 
 
 def write_csv(path, rows):
@@ -104,6 +107,112 @@ class TestLoading:
     def test_missing_file(self, tmp_path):
         with pytest.raises(InputError, match="not found"):
             load_survey_csv(tmp_path / "absent.csv")
+
+
+class Routes:
+    """Counts the files each loading route reads: the byte route only counts the
+    files it takes, the csv route every file it is handed."""
+
+    def __init__(self, monkeypatch):
+        self.byte = self.csv = 0
+        byte_columns, csv_rows = survey._byte_columns, survey._csv_rows
+
+        def count_byte(path, category_count):
+            parsed = byte_columns(path, category_count)
+            self.byte += parsed is not None
+            return parsed
+
+        def count_csv(path, category_count):
+            self.csv += 1
+            return csv_rows(path, category_count)
+
+        monkeypatch.setattr(survey, "_byte_columns", count_byte)
+        monkeypatch.setattr(survey, "_csv_rows", count_csv)
+
+
+def loaded(load, path, category_count=5):
+    """The ``InputError`` text of loading ``path``, or every column of the dataset with its dtype."""
+    try:
+        columns = load(path, category_count).records
+    except InputError as exc:
+        return str(exc)
+    codes = (columns.respondent, columns.group, columns.question, columns.response)
+    return columns.respondents, columns.groups, columns.questions, [(c.dtype, c.tolist()) for c in codes]
+
+
+HEADER = "respondent_id,group,question,response\n"
+ROWS = "r1,g1,q1,3\nr2,g2,q1,\nr1,g1,q2,5\n"
+# one field past the csv module's default field limit, and one at it
+LIMIT = 131_072
+
+
+def one_long_id(width, rows=1000):
+    """A valid file of ``rows`` rows whose middle respondent id is ``width`` characters."""
+    return HEADER + "".join(f"{'x' * width if i == rows // 2 else f'r{i}'},g{i % 2},q1,{1 + i % 5}\n" for i in range(rows))
+
+
+def long_questions(width, rows):
+    """A valid file of ``rows`` rows, every one asking a question named by ``width`` characters."""
+    return HEADER + "".join(f"r{i},g1,{'q' * width},2\n" for i in range(rows))
+
+
+@pytest.mark.parametrize(
+    "data, route, expected",
+    [
+        (HEADER + f"r1,g1,{'q' * (LIMIT + 1)},2\n", "csv", "{path}:2: field larger than field limit (131072)"),
+        # a name longer than its column's row count, and than 64, is not worth one pass per byte
+        (HEADER + f"r1,g1,{'q' * LIMIT},2\n", "csv", None),
+        (long_questions(64, rows=40), "byte", None),
+        (long_questions(65, rows=40), "csv", None),
+        (long_questions(100, rows=100), "byte", None),
+        (long_questions(101, rows=100), "csv", None),
+        (one_long_id(50_000), "csv", None),
+        # fewer passes than rows, but a key matrix larger than the file
+        (one_long_id(900), "csv", None),
+        (one_long_id(12), "byte", None),
+        ("\ufeff" + HEADER + ROWS, "byte", None),
+        ("\ufeff" + HEADER + ROWS + "r1,g1,q1,4\n", "byte", "{path}:5: duplicate response for respondent 'r1', question 'q1'"),
+        (" respondent_id , group,question ,response\n" + ROWS, "csv", None),
+        (HEADER.replace("\n", "\r\n") + ROWS.replace("\n", "\r\n"), "csv", None),
+        (HEADER + "\n" + ROWS.replace("\n", "\n\n", 1) + "\n\n", "byte", None),
+        (HEADER + "\n" + ROWS.replace("\n", "\n\n", 1) + "\nr3,,q1,1\n\n", "byte", "{path}:8: record 'r3'/'q1' has an empty group"),
+        (HEADER + ROWS.rstrip("\n"), "byte", None),
+        (HEADER, "csv", "{path}: no records"),
+        (HEADER.rstrip("\n"), "csv", "{path}: no records"),
+        (HEADER + ROWS + "r3,caf\u00e9,q1,2\n", "csv", None),
+        ((HEADER + ROWS + "r3,caf\u00e9,q1,2\n").encode("latin-1"), "csv", "cannot read survey file {path}: 'utf-8' codec can't decode byte 0xe9"),
+    ],
+    ids=["past-field-limit", "at-field-limit", "64-of-40-rows", "65-of-40-rows", "100-of-100-rows", "101-of-100-rows", "long-id", "long-id-many-rows", "short-ids",
+         "bom", "bom-duplicate", "padded-header", "crlf",
+         "blank-rows", "blank-rows-empty-group", "no-final-newline", "header-only", "header-only-no-newline",
+         "non-ascii", "latin-1"],
+)
+def test_each_route_guard_gives_what_the_csv_route_gives(monkeypatch, tmp_path, data, route, expected):
+    path = tmp_path / "s.csv"
+    path.write_bytes(data if isinstance(data, bytes) else data.encode())
+    want = loaded(survey._csv_rows, path)
+    routes = Routes(monkeypatch)
+    assert loaded(load_survey_csv, path) == want
+    assert (routes.byte, routes.csv) == ((1, 0) if route == "byte" else (0, 1))
+    if expected is None:
+        assert not isinstance(want, str)
+    else:
+        assert want.startswith(expected.format(path=path))
+
+
+def test_a_lowered_field_limit_holds_on_both_routes(monkeypatch, tmp_path):
+    # a name short enough for the byte route can still pass a caller's lower csv limit
+    path = tmp_path / "s.csv"
+    path.write_text(HEADER + "".join(f"{'x' * 14 if i == 50 else f'id{i:08d}'},g1,q1,1\n" for i in range(100)))
+    previous = csv.field_size_limit(13)
+    try:
+        want = loaded(survey._csv_rows, path)
+        routes = Routes(monkeypatch)
+        assert loaded(load_survey_csv, path) == want
+    finally:
+        csv.field_size_limit(previous)
+    assert want == f"{path}:52: field larger than field limit (13)"
+    assert (routes.byte, routes.csv) == (0, 1)
 
 
 class TestDatasetValidation:
