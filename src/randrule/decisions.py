@@ -15,14 +15,13 @@ On a mixture of Gaussians with one lambda, Bayes, randomized Bayes and
 nearest-mean score every class of a chunk from one product ``X @ M.T``, not
 from k per-class distance passes. One per-row bound on how far those scores
 can be from the kernel's, in any summation order, certifies a row when no
-comparison the rule makes lies within it (``mixtures._product_weights``
-derives it). The kernel recomputes every other row:
-``mixtures._weighted_densities`` for the Bayes rules, the per-class distances
-of ``_nearest_mean_kernel`` for nearest-mean. So every decision is the
-kernel's, and the kernel stays the oracle. The likelihood-ratio rule,
-mixtures whose lambdas differ, interval and mixed-kind mixtures, single-point
-:func:`bayes_decide`, posteriors and costs outside [2**-300, 2**900] take the
-kernel alone.
+comparison the rule makes lies within it (``mixtures._product`` derives it).
+The kernel recomputes every other row: ``mixtures._weighted_densities`` for
+the Bayes rules, the per-class distances of ``_nearest_mean_kernel`` for
+nearest-mean. So every decision is the kernel's, and the kernel stays the
+oracle. The likelihood-ratio rule, mixtures whose lambdas differ, interval and
+mixed-kind mixtures, single-point :func:`bayes_decide`, posteriors and costs
+outside [2**-300, 2**900] take the kernel alone.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ from .mixtures import (
     UniformInterval,
     _case_chunks,
     _product,
-    _product_weights,
     _weighted_densities,
     posterior,
 )
@@ -226,7 +224,7 @@ def _certified_ties(mixture: Mixture, cost: CostMatrix, X: np.ndarray) -> np.nda
     """The :func:`_bayes_ties` mask, from the mixture's product form on every row where it is certain.
 
     A row is certain when no score lies within the factor ``exp(+-eta)`` of the
-    tie threshold (see ``mixtures._product_weights``); the kernel recomputes the rest.
+    tie threshold (see ``mixtures._product``); the kernel recomputes the rest.
     The product form needs positive costs in [2**-300, 2**900]: they keep every cost
     times a weight of at least ``e**-400`` a normal double, and every score finite.
     """
@@ -234,7 +232,7 @@ def _certified_ties(mixture: Mixture, cost: CostMatrix, X: np.ndarray) -> np.nda
     positive = cost.values[cost.values > 0]
     if product is None or (positive.size and not (2.0**-300 <= positive.min() and positive.max() <= 2.0**900)):
         return _bayes_ties(mixture, cost, X)
-    log_w, eta, ok = _product_weights(product, X)
+    log_w, eta, ok = product(X)
     with np.errstate(all="ignore"):
         scores = cost.values.T @ np.exp(log_w, out=log_w)
         threshold = scores.min(axis=0) * (1.0 + TIE_RTOL)
@@ -311,8 +309,8 @@ def nearest_mean_classifier(mixture: Mixture) -> DeterministicClassifier:
     Requires every component to be Gaussian with a common lambda and equal
     priors; under those assumptions this rule is Bayes-optimal for 0-1 cost.
 
-    The rule reads the one bound of ``mixtures._product_weights``, on a product
-    form of its own: the means, the first lambda, zero log priors and a zero
+    The rule reads the one bound of ``mixtures._product``, on a product form of
+    its own: the means, the first lambda, zero log priors and a zero
     ``log_norm``, so its log-weights are ``-|x - mu_j|^2 / (2 lam)`` up to one
     column shift. It does not reuse the mixture's product, whose priors may differ
     from equal by up to 1e-12 and would certify against the density kernel. The bound
@@ -338,7 +336,7 @@ def nearest_mean_classifier(mixture: Mixture) -> DeterministicClassifier:
     def rule(X: np.ndarray) -> np.ndarray:
         if product is None:
             return _nearest_mean_kernel(means, X)
-        log_w, eta, _ = _product_weights(product, X)
+        log_w, eta, _ = product(X)
         near = log_w >= -eta  # inf or nan evidence gives no class or every class: uncertain
         certain = near.sum(axis=0) == 1
         return _with_kernel(np.argmax(near, axis=0), certain, X, lambda rows: _nearest_mean_kernel(means, rows))
@@ -409,6 +407,12 @@ def monte_carlo_cost(
     _check_cost(mixture, cost)
     if n < 1:
         raise InputError(f"sample size must be >= 1, got {n}")
+    top = float(cost.values.max())
+    # top**2 * n bounds the sum of the costs and of their squared deviations; top * top is inf at
+    # worst and the integer quotient is exact for any n, so the test itself cannot overflow
+    if top * top >= 2**1023 / n:
+        raise InputError(f"cost magnitude {top:g} over n={n} cases could overflow the mean or its standard error: "
+                         "scale the costs down")
     if classifier.label_count != mixture.label_count:
         raise InputError("classifier and mixture disagree on the number of classes")
     k = mixture.label_count

@@ -296,25 +296,20 @@ def _pick(scores: list[float], u: float) -> int:
     return ties[int(u * len(ties))]
 
 
-def _exact(A: np.ndarray, BT: np.ndarray, rounds: int) -> bool:
-    """The exactness gate: integer payoffs with ``max|payoff| * (rounds + actions) < 2**53``.
+def _check_range(game: NormalFormGame, rounds: int, what: str) -> bool:
+    """Refuse payoffs whose scores or payoff sums over ``rounds`` rounds could overflow a double;
+    return the exactness gate: integer payoffs with ``max|payoff| * (rounds + actions) < 2**53``.
 
-    Counts start at one per opponent action and gain one per round, so under the gate every
-    score a side forms is an exact float64 integer, and any summation order gives the same bits.
+    That product bounds each score and sum. Counts start at one per opponent action and gain
+    one per round, so under the gate every score a side forms is an exact float64 integer,
+    and any summation order gives the same bits.
     """
-    payoffs = np.concatenate((A.ravel(), BT.ravel()))
-    integer = bool(np.all(payoffs == np.trunc(payoffs)))
-    return integer and float(np.abs(payoffs).max()) * (rounds + sum(A.shape)) < 2.0**53
-
-
-def _check_range(game: NormalFormGame, rounds: int, what: str) -> None:
-    """Refuse payoffs whose scores or payoff sums over ``rounds`` rounds could overflow a double.
-
-    Each is at most ``max|payoff| * (rounds + actions)``, the product :func:`_exact` forms.
-    """
-    big = float(max(np.abs(game.row_payoff).max(), np.abs(game.col_payoff).max()))
-    if big * (rounds + game.row_actions + game.col_actions) >= 2.0**1023:
+    payoffs = np.concatenate((game.row_payoff.ravel(), game.col_payoff.ravel()))
+    big = float(np.abs(payoffs).max())
+    bound = big * (rounds + game.row_actions + game.col_actions)
+    if bound >= 2.0**1023:
         raise InputError(f"payoff magnitude {big:g} over {rounds} {what} could overflow: scale the payoffs down")
+    return bound < 2.0**53 and bool(np.all(payoffs == np.trunc(payoffs)))
 
 
 def _run(scores: list[float], lead: int, slopes: list[int], limit: int) -> int:
@@ -373,7 +368,7 @@ def _score_blocks(M, counts, opp, out, u) -> None:
     counts += np.bincount(opp, minlength=counts.size)
 
 
-def _best_responses(A, B, row_counts, col_counts, row_actions, col_actions, u_row, u_col) -> None:
+def _best_responses(A, B, row_counts, col_counts, row_actions, col_actions, u_row, u_col, exact: bool) -> None:
     """Fill in the actions of each side that best-responds to counts: one tie rule, three routes.
 
     ``row_counts`` holds the row side's counts of column actions, ``col_counts``
@@ -382,14 +377,14 @@ def _best_responses(A, B, row_counts, col_counts, row_actions, col_actions, u_ro
     then both sides' counts take in the opponent's action. A side passed ``None``
     keeps the actions already in its array.
 
-    Under the exactness gate (:func:`_exact`) every score is an exact integer, so two
-    routes reproduce the per-round loop bit for bit: :func:`_jump` when both sides count,
-    :func:`_score_blocks` when one side's actions are known in advance. Every other input,
-    such as non-integer payoffs, takes the per-round loop.
+    Under the exactness gate (``exact``, from :func:`_check_range`) every score is an exact
+    integer, so two routes reproduce the per-round loop bit for bit: :func:`_jump` when both
+    sides count, :func:`_score_blocks` when one side's actions are known in advance. Every
+    other input, such as non-integer payoffs, takes the per-round loop.
     """
     # a contiguous copy: the product over the transposed view rounds differently on non-integer payoffs
     BT = np.ascontiguousarray(B.T)
-    if _exact(A, BT, row_actions.size):
+    if exact:
         if row_counts is None:
             return _score_blocks(BT, col_counts, row_actions, col_actions, u_col)
         if col_counts is None:
@@ -422,13 +417,13 @@ def fictitious_play(game: NormalFormGame, iterations: int, tie_seed: int = 0) ->
         raise InputError("fictitious play is only supported for zero-sum games")
     if iterations < 1:
         raise InputError(f"iterations must be >= 1, got {iterations}")
-    _check_range(game, iterations, "iterations")
+    exact = _check_range(game, iterations, "iterations")
     A = game.row_payoff
     ties = generator(tie_seed).random(2 * iterations)
     rows = np.empty(iterations, dtype=np.int64)
     cols = np.empty(iterations, dtype=np.int64)
     _best_responses(A, game.col_payoff, np.ones(game.col_actions), np.ones(game.row_actions), rows, cols,
-                    ties[0::2], ties[1::2])
+                    ties[0::2], ties[1::2], exact)
     x = np.bincount(rows, minlength=game.row_actions) / iterations
     y = np.bincount(cols, minlength=game.col_actions) / iterations
     profile = MixedProfile(MixedStrategy(x), MixedStrategy(y))

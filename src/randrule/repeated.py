@@ -154,13 +154,13 @@ def run_repeated(
     """
     if rounds < 1:
         raise InputError(f"rounds must be >= 1, got {rounds}")
-    _check_range(game, rounds, "rounds")
+    exact = _check_range(game, rounds, "rounds")
     row_actions, row_counts, u_row = _plan(row, game.row_actions, game.col_actions, "row", rounds, generator(seed, 0))
     col_actions, col_counts, u_col = _plan(col, game.col_actions, game.row_actions, "col", rounds, generator(seed, 1))
     A = game.row_payoff
     B = game.col_payoff
     if row_counts is not None or col_counts is not None:
-        _best_responses(A, B, row_counts, col_counts, row_actions, col_actions, u_row, u_col)
+        _best_responses(A, B, row_counts, col_counts, row_actions, col_actions, u_row, u_col, exact)
     row_payoffs = A[row_actions, col_actions]
     col_payoffs = B[row_actions, col_actions]
     trace = MatchTrace(row_actions, col_actions, row_payoffs, col_payoffs, seed)

@@ -7,9 +7,10 @@ question, responses coded 1..k, an empty field meaning missing. Each
 
 A file is read by one of two routes. Plain files (ASCII, no quotes, no
 whitespace but newlines, the exact header, every row 4 fields wide, responses
-written as bare codes) are parsed as bytes in numpy. Every other file goes
-through ``csv.reader``, which is the reference: both routes give the same
-dataset, and only the ``csv.reader`` route words a parse error.
+written as decimal codes 1..k, leading zeros allowed) are parsed as bytes in
+numpy. Every other file goes through ``csv.reader``, which is the reference:
+both routes give the same dataset, and only the ``csv.reader`` route words a
+parse error.
 """
 
 from __future__ import annotations
@@ -201,17 +202,17 @@ _FREE_PASSES = 64
 
 def _byte_codes(body: np.ndarray, start: np.ndarray, end: np.ndarray, width: int, category_count: int) -> np.ndarray | None:
     """Response codes of fields at most ``width`` bytes long that are empty (0) or a code
-    1..k written without a leading zero, or None if any field is spelled otherwise.
+    1..k in decimal digits, leading zeros allowed, or None if any field is spelled otherwise.
     Separators read as 0."""
     code = np.zeros(start.size, dtype=np.int64)
     for p in range(width):
         digit = body[np.minimum(start + p, end)] - ord("0")  # a separator wraps past 9
         is_digit = digit <= 9
-        # every byte of a field is a digit, and the first is not 0
-        if not np.array_equal(is_digit, end - start > p) or (p == 0 and not digit.all()):
+        if not np.array_equal(is_digit, end - start > p):  # every byte of a field is a digit
             return None
         code = np.where(is_digit, code * 10 + digit, code)
-    return code if int(code.max()) <= category_count else None
+    # a written 0 (0, 00) and a code past k are the csv route's to word
+    return None if int(code.max()) > category_count or np.any((code == 0) & (end > start)) else code
 
 
 def _byte_names(body: np.ndarray, start: np.ndarray, end: np.ndarray, width: int) -> Encoded:
@@ -302,8 +303,9 @@ def load_survey_csv(path: str | Path, category_count: int = 5) -> SurveyDataset:
     mark it is ASCII with no NUL, no quote and no whitespace but ``\n``, its
     first line is exactly the header, every row is blank or 4 fields wide, no
     field is longer than ``csv.field_size_limit()``, and every response is
-    empty or a code 1..k with no leading zero. Any other file is read whole
-    by ``csv.reader`` and stripped field by field, and so is one whose names
+    empty or a code 1..k in decimal digits, leading zeros allowed (``02`` reads
+    2; ``0`` and ``00`` do not pass). Any other file is read whole by
+    ``csv.reader`` and stripped field by field, and so is one whose names
     would need a key matrix larger than the file, or a name longer than both
     its column's row count and 64 bytes (the matrix is filled one byte
     position per pass). That route words every parse error, and both give

@@ -146,8 +146,8 @@ def test_certified_decisions_are_the_kernels_on_forced_near_ties(case):
 @settings(derandomize=True, max_examples=50, deadline=None)
 @given(near_tie_cases())
 def test_an_infinite_bound_sends_every_row_to_the_kernel(case):
-    # an infinite unit roundoff makes every bound infinite (or nan): no row is certain;
-    # nearest-mean's bound comes from mixtures too
+    # an infinite unit roundoff makes every bound that mixtures._product builds infinite
+    # (or nan): no row is certain; nearest-mean builds its product there too
     with mock.patch.object(mixtures, "_U", math.inf):
         assert_decisions_match_the_kernel(case)
 

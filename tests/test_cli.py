@@ -512,8 +512,12 @@ class TestMalformedDocuments:
             ('{"dimension": "x", %s}' % TWO_UNIFORMS, "declared dimension 'x' != component dimension 1"),
             ('{"dimension": 1.5, %s}' % TWO_UNIFORMS, "declared dimension 1.5 != component dimension 1"),
             ("[1, 2]", "mixture document must be a JSON object, got list"),
+            ('{"components": [{"prior": 0.5, "density": {"kind": "uniform", "lo": -1e308, "hi": 1e308}}, '
+             '{"prior": 0.5, "density": {"kind": "uniform", "lo": 0, "hi": 1}}]}',
+             "interval [-1e+308, 1e+308] is wider than a double can hold"),
         ],
-        ids=["string-prior", "string-bound", "list-density", "string-dimension", "fractional-dimension", "list"],
+        ids=["string-prior", "string-bound", "list-density", "string-dimension", "fractional-dimension", "list",
+             "infinite-width"],
     )
     def test_mixture(self, capsys, document, message):
         code, out, err = run(capsys, "classify-demo", "--mixture", document, "--classifier", "bayes", "--n", "10")
@@ -526,8 +530,9 @@ class TestMalformedDocuments:
             ('[[0, "a"], [1, 0]]', "cost document is not a numeric matrix: could not convert string to float: 'a'"),
             ('{"x": 1}', "cost document is not a numeric matrix"),
             ("[[0, 1, 1], [1, 0, 1], [1, 1, 0]]", "cost matrix is 3x3 but the mixture has 2 classes"),
+            ("[[0, 1e308], [1e308, 0]]", "cost magnitude 1e+308 over n=10 cases could overflow"),
         ],
-        ids=["string-entry", "object", "wrong-size"],
+        ids=["string-entry", "object", "wrong-size", "overflowing"],
     )
     def test_cost(self, capsys, mixture_file, cost, message):
         for classifier in ("bayes", "md"):

@@ -397,6 +397,23 @@ class TestMonteCarlo:
         assert one == two
         assert one.n == 10_000 and one.seed == 3
 
+    # 2**511 * 2**511 * 2 = 2**1023: the smallest bound on the squared deviations that is refused
+    @pytest.mark.parametrize("top, n", [(1e308, 10), (1e160, 10), (1e308, 10**5), (2.0**511, 2)])
+    def test_costs_whose_sums_could_overflow_are_refused(self, top, n):
+        m = gaussian_mixture([0.0, 1.0], lam=1.0)
+        cost = CostMatrix([[0.0, top], [top, 0.0]])
+        with pytest.raises(InputError) as info:
+            monte_carlo_cost(m, cost, randomized_bayes_classifier(m, cost), n, seed=5)
+        assert f"cost magnitude {top:g} over n={n} cases could overflow" in str(info.value)
+
+    @pytest.mark.parametrize("top, n", [(1e150, 10**5), (2.0**511, 1)])
+    def test_large_costs_below_the_bound_keep_a_finite_estimate(self, top, n):
+        m = gaussian_mixture([0.0, 1.0], lam=1.0)
+        cost = CostMatrix([[0.0, top], [top, 0.0]])
+        est = monte_carlo_cost(m, cost, randomized_bayes_classifier(m, cost), n, seed=5)
+        assert math.isfinite(est.mean_cost) and math.isfinite(est.standard_error)
+        assert 0.0 <= est.mean_cost <= top
+
     def test_midpoint_rule_matches_analytic_cost(self):
         m = overlap()
         est = monte_carlo_cost(m, ZERO_ONE, overlap_deterministic(0.5, 1.0), 10**5, seed=17)

@@ -6,11 +6,13 @@ import pytest
 
 from randrule import (
     ClassComponent,
+    CostMatrix,
     InputError,
     IsotropicGaussian,
     Mixture,
     UniformInterval,
     UnsupportedEvidenceError,
+    bayes_classifier,
     density_at,
     gaussian_mixture,
     load_mixture,
@@ -82,6 +84,10 @@ class TestConstruction:
         with pytest.raises(InputError):
             UniformInterval(1.0, 1.0)
 
+    def test_interval_wider_than_a_double_is_refused(self):
+        with pytest.raises(InputError, match=r"interval \[-1e\+308, 1e\+308\] is wider than a double can hold"):
+            UniformInterval(-1e308, 1e308)
+
     def test_gaussian_needs_positive_lambda(self):
         with pytest.raises(InputError):
             IsotropicGaussian(np.zeros(2), 0.0)
@@ -126,6 +132,13 @@ class TestPosterior:
         m = gaussian_mixture([0.0, 1.0], lam=1.0)
         assert posterior(m, x)[0] == pytest.approx(1.0 / (1.0 + math.exp(x - 0.5)), rel=1e-12, abs=0.0)
         assert posterior(m, -x)[1] == pytest.approx(1.0 / (1.0 + math.exp(x + 0.5)), rel=1e-12, abs=0.0)
+
+    def test_a_subnormal_lambda_gives_the_limits_without_a_warning(self):
+        # 2 * lam is subnormal, so |x - mu|^2 / (2 lam) overflows to inf, the log density's exact limit
+        m = gaussian_mixture([0.0, 1.0], lam=1e-310)
+        assert np.array_equal(posterior(m, 0.0), [1.0, 0.0])
+        assert density_at(m, 1, 0.0) == 0.0
+        assert np.array_equal(bayes_classifier(m, CostMatrix.zero_one(2)).decide_batch(np.array([[0.0], [1.0]])), [0, 1])
 
     def test_zero_prior_class_gets_zero_posterior(self):
         m = gaussian_mixture([0.0, 1.0, 2.0], lam=1.0, priors=[0.0, 0.5, 0.5])

@@ -298,10 +298,11 @@ def survey_csv(draw, k):
 
 @st.composite
 def plain_survey_csv(draw, k):
-    """Survey text for the byte route: unquoted ASCII, ``\n`` endings, bare codes up to
-    k, blank rows, empty groups and questions, and duplicates. A row of the wrong width
-    or a response the route does not read sends the file to the csv route."""
+    """Survey text for the byte route: unquoted ASCII, ``\n`` endings, codes up to k with
+    or without leading zeros, blank rows, empty groups and questions, and duplicates. A row
+    of the wrong width or a response the route does not read sends the file to the csv route."""
     lines = [",".join(CSV_HEADER)]
+    padded = st.builds("{}{}".format, st.sampled_from(["", "", "0", "00"]), st.integers(1, k))
     for _ in range(draw(st.integers(0, 20))):
         kind = draw(st.sampled_from(["row"] * 20 + ["blank", "blank", "wide", "odd"]))
         if kind == "blank":
@@ -313,11 +314,11 @@ def plain_survey_csv(draw, k):
         respondent = f"r{draw(st.integers(1, 25))}"
         group = draw(st.sampled_from(["g1", "g2", "g3"]))
         question = draw(st.sampled_from(["q1", "q2", "q3"]))
-        response = draw(st.sampled_from(["", str(k)]) | st.integers(1, k).map(str))
+        response = draw(st.sampled_from(["", str(k)]) | padded)
         if kind == "odd" and draw(st.booleans()):
             group, question = draw(st.sampled_from([("", question), (group, ""), ("", "")]))
         elif kind == "odd":
-            response = draw(st.sampled_from(["0", "02", str(k + 1), "x", "-1", "1" * 19]))
+            response = draw(st.sampled_from(["0", "00", str(k + 1), "x", "-1", "1" * 19]))
         lines.append(",".join([respondent, group, question, response]))
     return "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
 
@@ -852,6 +853,21 @@ def test_integer_payoffs_take_the_exact_routes():
         assert pick.call_count == 0
         fictitious_play(RPS, 10_000, 3)
         assert pick.call_count < 10_000 // 10
+
+
+@pytest.mark.parametrize("rounds", [8185, 8186], ids=["below-2**53", "at-2**53"])
+def test_the_exact_routes_end_where_the_score_bound_reaches_2_53(rounds):
+    # 2**40 * (8186 rounds + 6 actions) = 2**53, the smallest bound outside the exactness gate
+    game = zero_sum_game(RPS.row_payoff * 2.0**40)
+    exact = rounds < 8186
+    assert games._check_range(game, rounds, "rounds") is exact
+    jump, blocks = (mock.Mock(wraps=games._jump), mock.Mock(wraps=games._score_blocks)) if exact else (_refuse, _refuse)
+    with mock.patch.multiple(games, _jump=jump, _score_blocks=blocks):
+        assert_replays_the_agent_loop(game, PurePolicy(0), FrequencyExploiter(), rounds, seed=5)
+        assert_replays_the_agent_loop(game, FrequencyExploiter(), FrequencyExploiter(), rounds, seed=5)
+        assert_fp_replays_the_incremental_loop(game, rounds, 5)
+    if exact:
+        assert (blocks.call_count, jump.call_count) == (1, 2)
 
 
 def assert_fp_replays_the_incremental_loop(game, iterations, tie_seed):

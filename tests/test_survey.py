@@ -177,6 +177,10 @@ def long_questions(width, rows):
         (HEADER + "\n" + ROWS.replace("\n", "\n\n", 1) + "\n\n", "byte", None),
         (HEADER + "\n" + ROWS.replace("\n", "\n\n", 1) + "\nr3,,q1,1\n\n", "byte", "{path}:8: record 'r3'/'q1' has an empty group"),
         (HEADER + ROWS.rstrip("\n"), "byte", None),
+        (HEADER + ROWS + "r3,g1,q1,02\n", "byte", None),
+        (HEADER + ROWS + "r3,g1,q1,005\n", "byte", None),
+        (HEADER + ROWS + "r3,g1,q1,0\n", "csv", "{path}:5: response 0 outside 1..5"),
+        (HEADER + ROWS + "r3,g1,q1,00\n", "csv", "{path}:5: response 0 outside 1..5"),
         (HEADER, "csv", "{path}: no records"),
         (HEADER.rstrip("\n"), "csv", "{path}: no records"),
         (HEADER + ROWS + "r3,caf\u00e9,q1,2\n", "csv", None),
@@ -184,7 +188,8 @@ def long_questions(width, rows):
     ],
     ids=["past-field-limit", "at-field-limit", "64-of-40-rows", "65-of-40-rows", "100-of-100-rows", "101-of-100-rows", "long-id", "long-id-many-rows", "short-ids",
          "bom", "bom-duplicate", "padded-header", "crlf",
-         "blank-rows", "blank-rows-empty-group", "no-final-newline", "header-only", "header-only-no-newline",
+         "blank-rows", "blank-rows-empty-group", "no-final-newline", "zero-padded", "zero-padded-k", "zero", "zeros",
+         "header-only", "header-only-no-newline",
          "non-ascii", "latin-1"],
 )
 def test_each_route_guard_gives_what_the_csv_route_gives(monkeypatch, tmp_path, data, route, expected):
