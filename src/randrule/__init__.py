@@ -9,8 +9,8 @@ The library covers four connected pieces:
   (matching pennies, rock-paper-scissors, the harm-allocation dilemma) and
   fictitious play as learning dynamics;
 * repeated play showing how pure strategies get exploited by a frequency
-  learner while equilibrium mixes do not; the learner runs the same
-  best-response loop as fictitious play;
+  learner while equilibrium mixes do not; the learner takes the same
+  exact best responses as fictitious play;
 * ordinal survey statistics: Mann-Whitney U with tie handling, descriptive
   summaries, and diverging stacked bar charts.
 

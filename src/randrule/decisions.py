@@ -32,7 +32,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import InputError, UnsupportedEvidenceError
+from .errors import InputError, UnsupportedEvidenceError, allocation
 from .mixtures import (
     Mixture,
     UniformInterval,
@@ -418,7 +418,8 @@ def monte_carlo_cost(
     k = mixture.label_count
     coins = generator(seed, 1)
     flat_cost = cost.values.ravel()
-    costs = np.empty(n)
+    with allocation(n, "cases"):
+        costs = np.empty(n)
     confusion = np.zeros(k * k, dtype=np.int64)
     for start, X, labels in _case_chunks(mixture, n, generator(seed, 0)):
         rows = labels.size

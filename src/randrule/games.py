@@ -6,21 +6,20 @@ must hurt one of two parties without knowing who is at fault. One exact solver
 takes every zero-sum game: its first pure saddle, else a rational simplex on its
 linear program; fictitious play shows how the equilibrium is learned.
 Fictitious play and the frequency exploiter of :mod:`randrule.repeated` take
-their best responses with one tie rule and three routes: on integer payoffs
-whose scores stay below 2**53 (the exactness gate) fictitious play jumps
-between score crossings and an exploiter facing a known policy is scored in
-blocks of rounds; every other input runs the per-round loop.
+exact best responses for every finite payoff: two counting sides jump between
+score crossings, and a side facing a known policy is scored in blocks of rounds.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, allocation
 from .jsonio import read_json_source
 from .rng import generator
 
@@ -289,50 +288,55 @@ def is_nash(game: NormalFormGame, profile: MixedProfile, tol: float = NASH_TOL) 
     return True
 
 
-def _pick(scores: list[float], u: float) -> int:
+def _pick(scores: list[int], u: float) -> int:
     """Index of the maximal score; exact ties resolved by the uniform ``u``."""
     best = max(scores)
     ties = [k for k, s in enumerate(scores) if s == best]
     return ties[int(u * len(ties))]
 
 
-def _check_range(game: NormalFormGame, rounds: int, what: str) -> bool:
-    """Refuse payoffs whose scores or payoff sums over ``rounds`` rounds could overflow a double;
-    return the exactness gate: integer payoffs with ``max|payoff| * (rounds + actions) < 2**53``.
-
-    That product bounds each score and sum. Counts start at one per opponent action and gain
-    one per round, so under the gate every score a side forms is an exact float64 integer,
-    and any summation order gives the same bits.
-    """
-    payoffs = np.concatenate((game.row_payoff.ravel(), game.col_payoff.ravel()))
-    big = float(np.abs(payoffs).max())
-    bound = big * (rounds + game.row_actions + game.col_actions)
-    if bound >= 2.0**1023:
+def _check_range(game: NormalFormGame, rounds: int, what: str) -> None:
+    """Refuse payoffs whose sums over ``rounds`` rounds could overflow a double."""
+    big = max(float(np.abs(game.row_payoff).max()), float(np.abs(game.col_payoff).max()))
+    if big * (rounds + game.row_actions + game.col_actions) >= 2.0**1023:
         raise InputError(f"payoff magnitude {big:g} over {rounds} {what} could overflow: scale the payoffs down")
-    return bound < 2.0**53 and bool(np.all(payoffs == np.trunc(payoffs)))
 
 
-def _run(scores: list[float], lead: int, slopes: list[int], limit: int) -> int:
+def _integers(M: np.ndarray, length: int) -> np.ndarray:
+    """``M`` times the one positive rational that makes its entries coprime integers.
+
+    Every double is an integer over a power of two, so the largest denominator is a multiple of
+    every other. Counts summing to less than ``length`` keep each score below ``max|entry| * length``:
+    the entries are int64 when that is below 2**63, else Python ints.
+    """
+    ratios = [v.as_integer_ratio() for v in M.ravel().tolist()]
+    den = max(d for _, d in ratios)
+    g = math.gcd(*(n * den // d for n, d in ratios)) or 1
+    ints = [n * den // d // g for n, d in ratios]
+    return np.array(ints, dtype=np.int64 if max(map(abs, ints)) * length < 2**63 else object).reshape(M.shape)
+
+
+def _run(scores: list[int], lead: int, slopes: list[int], limit: int) -> int:
     """Rounds, at most ``limit``, for which ``lead`` stays the strict maximum of ``scores + k * slopes``.
 
     1 if another score ties it now; otherwise the first k at which a rival with a larger slope
     ties or passes it, ``ceil(gap / slope difference)`` in Python integers.
     """
-    top, rise = int(scores[lead]), slopes[lead]
+    top, rise = scores[lead], slopes[lead]
     for k, (s, r) in enumerate(zip(scores, slopes)):
         if k == lead:
             continue
         if s == top:
             return 1
         if r > rise:
-            limit = min(limit, (top - int(s) + r - rise - 1) // (r - rise))
+            limit = min(limit, (top - s + r - rise - 1) // (r - rise))
     return limit
 
 
 def _jump(A, BT, row_counts, col_counts, row_actions, col_actions, u_row, u_col) -> None:
     """Both sides count: pick once per pass, then repeat that pair until a score crossing."""
     rounds = row_actions.size
-    A_cols, BT_cols = A.T.astype(np.int64).tolist(), BT.T.astype(np.int64).tolist()
+    A_cols, BT_cols = A.T.tolist(), BT.T.tolist()
     t = 0
     while t < rounds:
         R, C = (A @ row_counts).tolist(), (BT @ col_counts).tolist()
@@ -348,15 +352,14 @@ def _jump(A, BT, row_counts, col_counts, row_actions, col_actions, u_row, u_col)
 _BLOCK_ROUNDS = 1 << 12
 
 
-def _score_blocks(M, counts, opp, out, u) -> None:
+def _score_blocks(MT, counts, opp, out, u) -> None:
     """One side counts, its opponent's actions ``opp`` are known: score ``_BLOCK_ROUNDS`` rounds at a time.
 
-    The scores before round t are ``M @ counts + cumsum(M.T[opp]) - M.T[opp]`` at row t; each row
-    is picked as :func:`_pick` does, by the first column whose running tie count exceeds
-    ``floor(u * ties)``.
+    ``MT`` holds a payoff row per opponent action. The scores before round t are
+    ``counts @ MT + cumsum(MT[opp]) - MT[opp]`` at row t; each row is picked as :func:`_pick`
+    does, by the first column whose running tie count exceeds ``floor(u * ties)``.
     """
-    MT = np.ascontiguousarray(M.T)
-    score = M @ counts
+    score = counts @ MT
     for b in range(0, out.size, _BLOCK_ROUNDS):
         step = MT[opp[b : b + _BLOCK_ROUNDS]]
         S = np.cumsum(step, axis=0)
@@ -368,37 +371,22 @@ def _score_blocks(M, counts, opp, out, u) -> None:
     counts += np.bincount(opp, minlength=counts.size)
 
 
-def _best_responses(A, B, row_counts, col_counts, row_actions, col_actions, u_row, u_col, exact: bool) -> None:
-    """Fill in the actions of each side that best-responds to counts: one tie rule, three routes.
+def _best_responses(A, B, row_counts, col_counts, row_actions, col_actions, u_row, u_col) -> None:
+    """Fill in the actions of each side that best-responds to counts, with one tie rule.
 
-    ``row_counts`` holds the row side's counts of column actions, ``col_counts``
-    the column side's counts of row actions. Each round a counting side plays
-    ``_pick(A @ row_counts, u_row[t])`` or ``_pick(B.T @ col_counts, u_col[t])``;
-    then both sides' counts take in the opponent's action. A side passed ``None``
-    keeps the actions already in its array.
-
-    Under the exactness gate (``exact``, from :func:`_check_range`) every score is an exact
-    integer, so two routes reproduce the per-round loop bit for bit: :func:`_jump` when both
-    sides count, :func:`_score_blocks` when one side's actions are known in advance. Every
-    other input, such as non-integer payoffs, takes the per-round loop.
+    ``row_counts`` holds the row side's counts of column actions, ``col_counts`` the column
+    side's counts of row actions. Each round a counting side plays ``_pick(A @ row_counts, u_row[t])``
+    or ``_pick(B.T @ col_counts, u_col[t])`` on exact scores; then both sides' counts take in the
+    opponent's action. A side passed ``None`` keeps the actions already in its array. Each side
+    scores on its payoffs as coprime integers (:func:`_integers`), which keeps every order and
+    tie: :func:`_jump` serves two counting sides, :func:`_score_blocks` one.
     """
-    # a contiguous copy: the product over the transposed view rounds differently on non-integer payoffs
-    BT = np.ascontiguousarray(B.T)
-    if exact:
-        if row_counts is None:
-            return _score_blocks(BT, col_counts, row_actions, col_actions, u_col)
-        if col_counts is None:
-            return _score_blocks(A, row_counts, col_actions, row_actions, u_row)
-        return _jump(A, BT, row_counts, col_counts, row_actions, col_actions, u_row, u_col)
-    for t in range(row_actions.size):
-        if row_counts is not None:
-            row_actions[t] = _pick((A @ row_counts).tolist(), u_row[t])
-        if col_counts is not None:
-            col_actions[t] = _pick((BT @ col_counts).tolist(), u_col[t])
-        if row_counts is not None:
-            row_counts[col_actions[t]] += 1
-        if col_counts is not None:
-            col_counts[row_actions[t]] += 1
+    length = row_actions.size + sum(A.shape)
+    if row_counts is None:
+        return _score_blocks(_integers(B, length), col_counts, row_actions, col_actions, u_col)
+    if col_counts is None:
+        return _score_blocks(_integers(A.T, length), row_counts, col_actions, row_actions, u_row)
+    _jump(_integers(A, length), _integers(B.T, length), row_counts, col_counts, row_actions, col_actions, u_row, u_col)
 
 
 def fictitious_play(game: NormalFormGame, iterations: int, tie_seed: int = 0) -> FictitiousPlayResult:
@@ -407,23 +395,22 @@ def fictitious_play(game: NormalFormGame, iterations: int, tie_seed: int = 0) ->
     Beliefs start with one virtual observation per opponent action, so the
     first best response is defined; exact score ties are broken by a stream
     of uniforms from ``tie_seed``, alternating row and column. The best responses
-    are the ones a repeated match computes when two frequency exploiters meet; on
-    integer payoffs they jump between score crossings, about sqrt(iterations)
-    passes. For zero-sum games the average payoff converges to the game value,
-    the empirical frequencies approach an equilibrium profile, and the duality
-    gap certifies how far: it is 0 exactly at an equilibrium.
+    are those of two frequency exploiters in a repeated match; they jump between
+    exact score crossings, about sqrt(iterations) passes on RPS. The average payoff
+    converges to the game value, the empirical frequencies approach an equilibrium
+    profile, and the duality gap certifies how far: it is 0 exactly at an equilibrium.
     """
     if not game.zero_sum:
         raise InputError("fictitious play is only supported for zero-sum games")
     if iterations < 1:
         raise InputError(f"iterations must be >= 1, got {iterations}")
-    exact = _check_range(game, iterations, "iterations")
+    _check_range(game, iterations, "iterations")
     A = game.row_payoff
-    ties = generator(tie_seed).random(2 * iterations)
-    rows = np.empty(iterations, dtype=np.int64)
-    cols = np.empty(iterations, dtype=np.int64)
-    _best_responses(A, game.col_payoff, np.ones(game.col_actions), np.ones(game.row_actions), rows, cols,
-                    ties[0::2], ties[1::2], exact)
+    with allocation(iterations, "iterations"):
+        ties = generator(tie_seed).random(2 * iterations)
+        rows, cols = np.empty((2, iterations), dtype=np.int64)
+    _best_responses(A, game.col_payoff, np.ones(game.col_actions, dtype=np.int64),
+                    np.ones(game.row_actions, dtype=np.int64), rows, cols, ties[0::2], ties[1::2])
     x = np.bincount(rows, minlength=game.row_actions) / iterations
     y = np.bincount(cols, minlength=game.col_actions) / iterations
     profile = MixedProfile(MixedStrategy(x), MixedStrategy(y))

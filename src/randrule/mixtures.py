@@ -44,7 +44,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .errors import InputError, UnsupportedEvidenceError
+from .errors import InputError, UnsupportedEvidenceError, allocation
 from .jsonio import read_json_source
 from .rng import box_muller, generator, inverse_cdf
 
@@ -425,7 +425,8 @@ def sample_case_arrays(mixture: Mixture, n: int, seed: int) -> tuple[np.ndarray,
     """
     if n < 1:
         raise InputError(f"sample size must be >= 1, got {n}")
-    X, labels = np.empty((n, mixture.dimension)), np.empty(n, dtype=np.int64)
+    with allocation(n, "cases"):
+        X, labels = np.empty((n, mixture.dimension)), np.empty(n, dtype=np.int64)
     for start, chunk_X, chunk_labels in _case_chunks(mixture, n, generator(seed)):
         stop = start + chunk_labels.size
         X[start:stop], labels[start:stop] = chunk_X, chunk_labels

@@ -5,11 +5,8 @@ equilibria is eventually read and punished by an opponent that merely
 counts action frequencies, while an equilibrium mix concedes nothing
 beyond sampling noise. The adversary observes actions only, never the
 opposing policy object. History-free policies (pure and mixed) draw all
-their actions at once; frequency exploiters take the best responses that
-fictitious play also takes, with one tie rule and three routes. Under the
-exactness gate (integer payoffs, scores below 2**53) an exploiter facing a
-history-free policy is scored in blocks of rounds, and two exploiters jump
-between score crossings; every other match runs the per-round loop.
+their actions at once; frequency exploiters take the exact best responses
+that fictitious play also takes (see :mod:`randrule.games`).
 """
 
 from __future__ import annotations
@@ -20,7 +17,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, allocation
 from .games import MixedStrategy, NormalFormGame, _best_responses, _check_range, game_value
 from .rng import generator, inverse_cdf
 
@@ -118,7 +115,7 @@ class ExploitabilityReport:
 
 def _plan(policy: AgentPolicy, n_actions: int, n_opponent: int, side: str, rounds: int, stream):
     """(actions, counts, uniforms) of one side: all actions of a history-free policy, or an
-    exploiter's starting counts of opponent actions and an array the loop fills.
+    exploiter's starting counts of opponent actions and an array the routes fill.
 
     ``stream`` is the side's own generator; a pure policy draws nothing from it."""
     if isinstance(policy, PurePolicy):
@@ -126,16 +123,19 @@ def _plan(policy: AgentPolicy, n_actions: int, n_opponent: int, side: str, round
             raise InputError(f"{side} pure action {policy.action!r} is not an integer")
         if not 0 <= policy.action < n_actions:
             raise InputError(f"{side} pure action {policy.action} out of range for {n_actions} actions")
-        return np.full(rounds, policy.action, dtype=np.int64), None, None
+        with allocation(rounds, "rounds"):
+            return np.full(rounds, policy.action, dtype=np.int64), None, None
     if isinstance(policy, MixedPolicy):
         if policy.strategy.n_actions != n_actions:
             raise InputError(
                 f"{side} mixed strategy has {policy.strategy.n_actions} entries, game offers {n_actions} actions"
             )
-        u = stream.random(rounds)
-        return inverse_cdf(policy.strategy.probs, u), None, u
+        with allocation(rounds, "rounds"):
+            u = stream.random(rounds)
+            return inverse_cdf(policy.strategy.probs, u), None, u
     if isinstance(policy, FrequencyExploiter):
-        return np.empty(rounds, dtype=np.int64), np.ones(n_opponent), stream.random(rounds)
+        with allocation(rounds, "rounds"):
+            return np.empty(rounds, dtype=np.int64), np.ones(n_opponent, dtype=np.int64), stream.random(rounds)
     raise InputError(f"unknown policy type {type(policy).__name__}")
 
 
@@ -154,15 +154,13 @@ def run_repeated(
     """
     if rounds < 1:
         raise InputError(f"rounds must be >= 1, got {rounds}")
-    exact = _check_range(game, rounds, "rounds")
+    _check_range(game, rounds, "rounds")
     row_actions, row_counts, u_row = _plan(row, game.row_actions, game.col_actions, "row", rounds, generator(seed, 0))
     col_actions, col_counts, u_col = _plan(col, game.col_actions, game.row_actions, "col", rounds, generator(seed, 1))
-    A = game.row_payoff
-    B = game.col_payoff
+    A, B = game.row_payoff, game.col_payoff
     if row_counts is not None or col_counts is not None:
-        _best_responses(A, B, row_counts, col_counts, row_actions, col_actions, u_row, u_col, exact)
-    row_payoffs = A[row_actions, col_actions]
-    col_payoffs = B[row_actions, col_actions]
+        _best_responses(A, B, row_counts, col_counts, row_actions, col_actions, u_row, u_col)
+    row_payoffs, col_payoffs = A[row_actions, col_actions], B[row_actions, col_actions]
     trace = MatchTrace(row_actions, col_actions, row_payoffs, col_payoffs, seed)
     summary = MatchSummary(
         avg_row_payoff=float(np.sum(row_payoffs) / rounds),

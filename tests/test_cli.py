@@ -678,6 +678,27 @@ def test_payoffs_whose_sums_could_overflow_are_refused(capsys, argv):
     assert "inf" not in out and "nan" not in out
 
 
+# numpy refuses arrays this long before it allocates anything
+UNALLOCATABLE = str(10**20)
+
+
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        (["classify-demo", "--mixture", json.dumps(OVERLAP_MIXTURE), "--classifier", "md", "--n"], "cases"),
+        (["classify-demo", "--mixture", json.dumps(OVERLAP_MIXTURE), "--classifier", "mr", "--n"], "cases"),
+        (["solve-game", "--game", "rps", "--method", "fp", "--iters"], "iterations"),
+        (["simulate-repeated", "--game", "rps", "--row", "pure:0", "--col", "exploiter", "--rounds"], "rounds"),
+        (["simulate-repeated", "--game", "rps", "--row", "exploiter", "--col", "exploiter", "--rounds"], "rounds"),
+    ],
+    ids=["md", "mr", "fp", "pure-vs-exploiter", "exploiter-vs-exploiter"],
+)
+def test_a_size_that_cannot_be_allocated_exits_2(capsys, argv, what):
+    code, out, err = run(capsys, *argv, UNALLOCATABLE)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot allocate arrays for {UNALLOCATABLE} {what}: ")
+
+
 class TestParser:
     def test_one_parser_serves_every_call_without_carrying_state(self, capsys):
         assert build_parser() is not build_parser()

@@ -177,6 +177,11 @@ class TestSampling:
         with pytest.raises(InputError):
             sample_case_arrays(two_uniform(), 0, seed=1)
 
+    def test_a_size_that_cannot_be_allocated_is_refused_by_name(self):
+        # numpy refuses arrays this long before it allocates anything
+        with pytest.raises(InputError, match=f"cannot allocate arrays for {10**20} cases"):
+            sample_case_arrays(two_uniform(), 10**20, seed=1)
+
     def test_fixed_seed_is_bit_identical(self):
         m = two_uniform()
         X1, labels1 = sample_case_arrays(m, 200, seed=42)

@@ -672,41 +672,54 @@ def test_inverse_cdf_matches_the_capped_searchsorted(case):
     assert picks.dtype == np.int64 and picks.tolist() == expected
 
 
-class _Agent:
-    """The per-round policy dispatch that the array-drawn policies and the shared loop replaced."""
+def rationals(M):
+    """The payoff matrix as nested lists of exact :class:`fractions.Fraction`."""
+    return [[Fraction(v) for v in row] for row in M.tolist()]
 
-    def __init__(self, policy, n_opponent):
+
+def exact_pick(scores, u):
+    """Index of the maximal exact score; ties resolved by the uniform ``u``."""
+    best = max(scores)
+    ties = [k for k, s in enumerate(scores) if s == best]
+    return ties[int(u * len(ties))]
+
+
+class _Agent:
+    """The per-round policy dispatch that the array-drawn policies and the shared routes replaced.
+
+    An exploiter keeps the exact score of each of its actions against its opponent counts, which
+    start at one per opponent action."""
+
+    def __init__(self, policy, payoff_vs_opponent):
         self.policy = policy
         if isinstance(policy, MixedPolicy):
             self.cum = np.cumsum(policy.strategy.probs)
         elif isinstance(policy, FrequencyExploiter):
-            self.opponent_counts = np.ones(n_opponent)
+            self.payoff = rationals(payoff_vs_opponent)
+            self.scores = [sum(row) for row in self.payoff]
 
-    def act(self, payoff_vs_opponent, u):
+    def act(self, u):
         if isinstance(self.policy, PurePolicy):
             return self.policy.action
         if isinstance(self.policy, MixedPolicy):
             return int(min(np.searchsorted(self.cum, u, side="right"), self.cum.size - 1))
-        scores = payoff_vs_opponent @ self.opponent_counts
-        ties = np.flatnonzero(scores == scores.max())
-        return int(ties[int(u * ties.size)]) if ties.size > 1 else int(ties[0])
+        return exact_pick(self.scores, u)
 
     def observe(self, opponent_action):
         if isinstance(self.policy, FrequencyExploiter):
-            self.opponent_counts[opponent_action] += 1
+            self.scores = [s + row[opponent_action] for s, row in zip(self.scores, self.payoff)]
 
 
 def agent_loop(game, row, col, rounds, seed):
     """(row, col) actions of the match as the per-round agents played it."""
-    row_agent = _Agent(row, game.col_actions)
-    col_agent = _Agent(col, game.row_actions)
+    row_agent = _Agent(row, game.row_payoff)
+    col_agent = _Agent(col, game.col_payoff.T)
     u_row = generator(seed, 0).random(rounds)
     u_col = generator(seed, 1).random(rounds)
-    BT = game.col_payoff.T.copy()
     actions = np.empty((2, rounds), dtype=np.int64)
     for t in range(rounds):
-        i = row_agent.act(game.row_payoff, u_row[t])
-        j = col_agent.act(BT, u_col[t])
+        i = row_agent.act(u_row[t])
+        j = col_agent.act(u_col[t])
         actions[:, t] = i, j
         row_agent.observe(j)
         col_agent.observe(i)
@@ -725,30 +738,30 @@ def record_csv(game, actions) -> bytes:
 
 
 def incremental_fp(game, iterations, tie_seed):
-    """The fictitious-play loop with running score sums that the shared loop replaced."""
-    A, B = game.row_payoff, game.col_payoff
+    """The fictitious-play loop with running exact score sums that the shared routes replaced; returns
+    the action counts and the exact average payoff."""
+    A, BT = rationals(game.row_payoff), rationals(game.col_payoff.T)
     ties = generator(tie_seed).random(2 * iterations)
-    row_scores, col_scores = A.sum(axis=1), B.sum(axis=0)
+    row_scores, col_scores = [sum(row) for row in A], [sum(row) for row in BT]
     row_counts = np.zeros(game.row_actions, dtype=np.int64)
     col_counts = np.zeros(game.col_actions, dtype=np.int64)
-    total = 0.0
+    total = Fraction(0)
     for t in range(iterations):
-        r, c = (np.flatnonzero(s == s.max()) for s in (row_scores, col_scores))
-        i = r[int(ties[2 * t] * r.size)] if r.size > 1 else r[0]
-        j = c[int(ties[2 * t + 1] * c.size)] if c.size > 1 else c[0]
+        i = exact_pick(row_scores, ties[2 * t])
+        j = exact_pick(col_scores, ties[2 * t + 1])
         row_counts[i] += 1
         col_counts[j] += 1
-        total += A[i, j]
-        row_scores += A[:, j]
-        col_scores += B[i, :]
+        total += A[i][j]
+        row_scores = [s + row[j] for s, row in zip(row_scores, A)]
+        col_scores = [s + row[i] for s, row in zip(col_scores, BT)]
     return row_counts, col_counts, total / iterations
 
 
 @st.composite
 def small_games(draw, kinds=("integer", "integer-general-sum", "one-decimal", "general-sum")):
     """2-4 actions a side: integer payoffs in {-1, 0, 1} (many exact score ties) or {-5..5}, zero-sum or
-    general-sum (the exact routes), one-decimal payoffs (score sums that round, the per-round loop) or
-    general-sum one-decimal payoffs."""
+    general-sum, one-decimal payoffs (whose float score sums would round) or general-sum one-decimal
+    payoffs."""
     shape = draw(st.integers(2, 4)), draw(st.integers(2, 4))
     kind = draw(st.sampled_from(kinds))
     rng = np.random.default_rng(draw(st.integers(0, 2**32)))
@@ -777,8 +790,8 @@ def policies(draw, n_actions):
 
 
 @st.composite
-def matches(draw, max_rounds=300):
-    game = draw(small_games())
+def matches(draw, max_rounds=300, stage_games=small_games()):
+    game = draw(stage_games)
     row = draw(policies(game.row_actions))
     col = draw(policies(game.col_actions))
     return game, row, col, draw(st.integers(1, max_rounds)), draw(st.integers(0, 2**64 - 1))
@@ -832,19 +845,18 @@ def test_matches_across_the_block_boundary_replay_the_agent_loop(game, row, col,
     assert_replays_the_agent_loop(game, row, col, rounds, seed=rounds)
 
 
-def _refuse(*args):
-    raise AssertionError("an exact route ran outside the exactness gate")
-
-
 @pytest.mark.parametrize("scale", [0.1, 2.0**50], ids=["one-decimal", "past-2**53"])
-@pytest.mark.parametrize("row, col", [(PurePolicy(0), FrequencyExploiter()), (FrequencyExploiter(), UNIFORM_RPS),
-                                      (FrequencyExploiter(), FrequencyExploiter())],
-                         ids=["pure-exploiter", "exploiter-mixed", "exploiter-exploiter"])
-def test_payoffs_outside_the_exactness_gate_take_the_per_round_loop(scale, row, col):
-    # scores of 2**50 payoffs pass 2**53 within 8 rounds; one-decimal payoffs round
+@pytest.mark.parametrize("row, col, route", [
+    (PurePolicy(0), FrequencyExploiter(), "_score_blocks"),
+    (FrequencyExploiter(), UNIFORM_RPS, "_score_blocks"),
+    (FrequencyExploiter(), FrequencyExploiter(), "_jump"),
+], ids=["pure-exploiter", "exploiter-mixed", "exploiter-exploiter"])
+def test_non_integer_and_huge_payoffs_take_the_exact_routes(scale, row, col, route):
+    # one-decimal float scores round; float scores of 2**50 payoffs pass 2**53 within 8 rounds
     game = zero_sum_game(RPS.row_payoff * scale)
-    with mock.patch.multiple(games, _jump=_refuse, _score_blocks=_refuse):
+    with mock.patch.object(games, route, wraps=getattr(games, route)) as spy:
         assert_replays_the_agent_loop(game, row, col, 64, seed=11)
+    assert spy.call_count == 1
 
 
 def test_integer_payoffs_take_the_exact_routes():
@@ -855,19 +867,22 @@ def test_integer_payoffs_take_the_exact_routes():
         assert pick.call_count < 10_000 // 10
 
 
-@pytest.mark.parametrize("rounds", [8185, 8186], ids=["below-2**53", "at-2**53"])
-def test_the_exact_routes_end_where_the_score_bound_reaches_2_53(rounds):
-    # 2**40 * (8186 rounds + 6 actions) = 2**53, the smallest bound outside the exactness gate
-    game = zero_sum_game(RPS.row_payoff * 2.0**40)
-    exact = rounds < 8186
-    assert games._check_range(game, rounds, "rounds") is exact
-    jump, blocks = (mock.Mock(wraps=games._jump), mock.Mock(wraps=games._score_blocks)) if exact else (_refuse, _refuse)
-    with mock.patch.multiple(games, _jump=jump, _score_blocks=blocks):
+@pytest.mark.parametrize("rounds", [2041, 2042], ids=["int64", "python-int"])
+def test_scores_past_int64_take_python_ints(rounds):
+    # 2**52 * (2042 rounds + 6 actions) = 2**63, the smallest score bound that int64 cannot hold
+    game = zero_sum_game([[0, -2**52, 1], [2**52, 0, -1], [-1, 1, 0]])
+    dtype = np.dtype(np.int64) if rounds < 2042 else np.dtype(object)
+    made = []
+
+    def integers(M, length, original=games._integers):
+        made.append(original(M, length))
+        return made[-1]
+
+    with mock.patch.object(games, "_integers", integers):
         assert_replays_the_agent_loop(game, PurePolicy(0), FrequencyExploiter(), rounds, seed=5)
         assert_replays_the_agent_loop(game, FrequencyExploiter(), FrequencyExploiter(), rounds, seed=5)
         assert_fp_replays_the_incremental_loop(game, rounds, 5)
-    if exact:
-        assert (blocks.call_count, jump.call_count) == (1, 2)
+    assert [M.dtype for M in made] == [dtype] * 5
 
 
 def assert_fp_replays_the_incremental_loop(game, iterations, tie_seed):
@@ -875,7 +890,14 @@ def assert_fp_replays_the_incremental_loop(game, iterations, tie_seed):
     row_counts, col_counts, value = incremental_fp(game, iterations, tie_seed)
     assert np.array_equal(result.profile.row.probs, row_counts / iterations)
     assert np.array_equal(result.profile.col.probs, col_counts / iterations)
-    assert result.value_estimate.hex() == value.hex()
+    A = game.row_payoff
+    top = float(np.abs(A).max())
+    if np.array_equal(A, np.trunc(A)) and top * iterations < 2**53:
+        # every partial payoff sum is exact, so the one rounding is the division
+        assert result.value_estimate.hex() == float(value).hex()
+    else:
+        # any summation order of the payoffs, then the division
+        assert abs(result.value_estimate - float(value)) <= iterations * 2**-52 * top
 
 
 @PROPERTY
@@ -884,11 +906,53 @@ def test_fictitious_play_replays_the_incremental_loop_on_integer_payoffs(game, i
     assert_fp_replays_the_incremental_loop(game, iterations, tie_seed)
 
 
+@PROPERTY
+@given(small_games(kinds=("one-decimal",)), st.integers(1, 300), st.integers(0, 2**64 - 1))
+def test_fictitious_play_replays_the_incremental_loop_on_one_decimal_payoffs(game, iterations, tie_seed):
+    assert_fp_replays_the_incremental_loop(game, iterations, tie_seed)
+
+
 @settings(derandomize=True, max_examples=25, deadline=None)
-@given(small_games(kinds=("integer",)), st.integers(1, 10_000), st.integers(0, 2**64 - 1))
+@given(small_games(kinds=("integer", "one-decimal")), st.integers(1, 10_000), st.integers(0, 2**64 - 1))
 def test_long_fictitious_play_replays_the_incremental_loop(game, iterations, tie_seed):
     assert_fp_replays_the_incremental_loop(game, iterations, tie_seed)
 
 
 def test_rps_fictitious_play_at_20000_iterations_replays_the_incremental_loop():
     assert_fp_replays_the_incremental_loop(RPS, 20_000, 9)
+
+
+# c * v is exact for v in {-1, 0, 1} and any c, and for any v when c is a power of two
+ANY_SCALE = [0.1, 0.3, 0.7, 3.0, 2.0**-30, 2.0**40]
+POWER_OF_TWO_SCALE = [0.5, 4.0, 2.0**-30, 2.0**40]
+
+
+@st.composite
+def scaled_matches(draw):
+    """A match on a small integer game, and a positive c whose c-scaled payoffs are exact."""
+    game, row, col, rounds, seed = draw(matches(2_000, small_games(kinds=("integer", "integer-general-sum"))))
+    small = max(np.abs(game.row_payoff).max(), np.abs(game.col_payoff).max()) <= 1
+    return game, row, col, rounds, seed, draw(st.sampled_from(ANY_SCALE if small else POWER_OF_TWO_SCALE))
+
+
+@PROPERTY
+@given(scaled_matches())
+def test_scaling_the_payoffs_changes_no_action(case):
+    game, row, col, rounds, seed, c = case
+    scaled = NormalFormGame(game.row_payoff * c, game.col_payoff * c)
+    trace, _ = run_repeated(game, row, col, rounds, seed)
+    scaled_trace, _ = run_repeated(scaled, row, col, rounds, seed)
+    assert np.array_equal(scaled_trace.row_actions, trace.row_actions)
+    assert np.array_equal(scaled_trace.col_actions, trace.col_actions)
+    if game.zero_sum:
+        fp, scaled_fp = fictitious_play(game, rounds, seed), fictitious_play(scaled, rounds, seed)
+        assert np.array_equal(scaled_fp.profile.row.probs, fp.profile.row.probs)
+        assert np.array_equal(scaled_fp.profile.col.probs, fp.profile.col.probs)
+
+
+def test_one_decimal_rps_fictitious_play_plays_as_rps():
+    game = zero_sum_game(RPS.row_payoff * 0.1)
+    rps, scaled = fictitious_play(RPS, 20_000, 5), fictitious_play(game, 20_000, 5)
+    assert np.array_equal(scaled.profile.row.probs, rps.profile.row.probs)
+    assert np.array_equal(scaled.profile.col.probs, rps.profile.col.probs)
+    assert_fp_replays_the_incremental_loop(game, 20_000, 5)
