@@ -13,10 +13,10 @@ randomized Bayes rule spreads its mass evenly over the tied decisions instead.
 
 On a mixture of Gaussians with one lambda, Bayes, randomized Bayes and
 nearest-mean score every class of a chunk from one product ``X @ M.T``, not
-from k per-class distance passes. One per-row bound on how far those scores
-can be from the kernel's, in any summation order, certifies a row when no
-comparison the rule makes lies within it (``mixtures._product`` derives it).
-The kernel recomputes every other row: ``mixtures._weighted_densities`` for
+from k per-class distance passes, built once per rule by :func:`_product`. Its
+one per-row bound on how far those scores can be from the kernel's, in any
+summation order, certifies a row when no comparison the rule makes lies within
+it. The kernel recomputes every other row: ``mixtures._weighted_densities`` for
 the Bayes rules, the per-class distances of ``_nearest_mean_kernel`` for
 nearest-mean. So every decision is the kernel's, and the kernel stays the
 oracle. The likelihood-ratio rule, mixtures whose lambdas differ, interval and
@@ -33,14 +33,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import InputError, UnsupportedEvidenceError, allocation
-from .mixtures import (
-    Mixture,
-    UniformInterval,
-    _case_chunks,
-    _product,
-    _weighted_densities,
-    posterior,
-)
+from .mixtures import Mixture, UniformInterval, _case_chunks, _weighted_densities, posterior
 from .rng import generator, inverse_cdf
 
 __all__ = [
@@ -64,6 +57,9 @@ __all__ = [
 
 DISTRIBUTION_TOL = 1e-9
 TIE_RTOL = 1e-12  # Bayes scores this close to the minimum count as ties
+_U = 2.0**-53  # unit roundoff of a double
+_GAP = 400.0  # a certain Bayes row has every live log-weight within this of its largest
+_Weights = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]  # X -> (log_w, eta), see _product
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,6 +198,82 @@ def expected_cost_of_classifier(mixture: Mixture, cost: CostMatrix, classifier: 
     return float(post @ cost.values @ dist)
 
 
+def _product(means: np.ndarray, lam: float, log_prior: np.ndarray, log_norm: float) -> _Weights | None:
+    """The product form of Gaussians with common ``lam``, or None when ``lam`` is outside [2**-200, 2**200].
+
+    It is the function ``X -> (log_w, eta)``: the logs of the kernel's weights from one
+    matrix product, and how far they can be from the kernel's.
+
+    For an isotropic Gaussian ``log(pi_j f_j(x)) = c_j + x.mu_j / lam - |x|^2 / (2 lam)``
+    with ``c_j = log pi_j - |mu_j|^2 / (2 lam) - (d/2) log(2 pi lam)``, so all k
+    log-weights of a row come from one (k, d) @ (d, n) product. ``log_w`` holds them
+    shifted so each column's largest is 0; ``W = exp(log_w)`` are then the weights of
+    ``mixtures._weighted_densities``, which stays the oracle. The product leaves out
+    ``|x|^2 / (2 lam)``: with one lambda it shifts the whole column, and the shift to a
+    largest of 1 takes it out again.
+
+    The bound. Write ``u = 2**-53``, ``h = 1 / (2 lam)``, ``r = |x|``,
+    ``m = max |mu_j|`` and ``ab = max |a_j| + |b|`` over the live labels, where
+    ``a_j = log pi_j`` and ``b = (d/2) log(2 pi lam)`` are the floats both paths
+    add; ``l_j`` is the exact log-weight built from them. A sum or dot of n terms, in
+    any order and with or without FMA (BLAS, numpy's SIMD loops), is within
+    ``n u / (1 - n u)`` of the sum of the terms' absolute values.
+
+    * The kernel rounds ``x - mu_j``, its square, a d-term sum, a division and two
+      additions: it is within ``(d + 5) u h |x - mu_j|^2 + 2 u ab`` of ``l_j``, and
+      ``|x - mu_j| <= r + m``.
+    * The product rounds ``mu_j / lam`` and a d-term dot (``(d + 1) u 2 h sum_i |x_i mu_ji|``,
+      at most ``(d + 1) u 2 h r m`` by Cauchy-Schwarz, so no second product is needed),
+      ``|mu_j|^2 / (2 lam)`` and ``c_j`` (``(d + 4) u h m^2 + 2 u ab``) and at most two
+      more additions: it is within ``(d + 6) u h ((r + m)^2 - r^2) + 4 u ab``.
+    * Each path subtracts its column's top; the top is a factor common to the column,
+      which no comparison of its entries sees, and the subtraction adds
+      ``u |l_j - l_top| <= u (h (r + m)^2 + 2 ab)``. The caller's ``exp`` is allowed 8 ulp
+      (``17 u`` in the log), a cost product over k non-negative terms ``(k + 1) u``, and
+      ``u h (r + m)^2`` covers the rounded ``r``, ``m`` and ``n u / (1 - n u)`` here.
+
+    So two entries of a column, each a cost-weighted sum of weights, compare within
+    ``eta_1 = (2 d + 14) u h (r + m)^2 - (d + 6) u h r^2 + 10 u ab + (2 k + 36) u``
+    of how the kernel's compare. A comparison against a threshold that is a rounded
+    product of another entry, times a rounded ``exp(+-eta)``, agrees with the kernel's
+    when ``eta >= 2 eta_1 + 24 u``; ``eta`` is that with ``8 u`` to spare for its own
+    rounding. For d = 8, k = 10, equal priors and unit lambda it stays below ``TIE_RTOL``
+    while ``r + m < 17``.
+
+    On weights the bound holds while none is subnormal: the Bayes rules certify only rows
+    whose live log-weights all lie within ``_GAP`` of the top, so every weight is at least
+    ``e**-400`` in both paths; a comparison of log-weights needs no such floor. Underflow
+    elsewhere (a product ``x_i mu_i``, ``|x|^2`` of tiny evidence) adds at most
+    ``d 2**-1074`` per sum; the lambda range keeps that far below ``u`` after the
+    scaling by ``h``.
+    Evidence with inf or nan gives a nan or infinite eta, which no comparison passes.
+    A zero prior's log-weight is -inf in both paths and its weight exactly 0.
+    """
+    if not 2.0**-200 <= lam <= 2.0**200:
+        return None
+    k, d = means.shape
+    h = 0.5 / lam
+    sq_norms = np.einsum("ij,ij->i", means, means)
+    live = np.flatnonzero(log_prior > -np.inf)
+    scaled_means, offsets = means / lam, log_prior - sq_norms * h - log_norm
+    max_norm = math.sqrt(sq_norms[live].max())
+    eta_slope, eta_relief = (4 * d + 28) * _U * h, (2 * d + 12) * _U * h
+    eta_floor = 20 * _U * float(np.abs(log_prior[live]).max() + abs(log_norm)) + (4 * k + 104) * _U
+
+    def weights(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        X = np.asarray(X, dtype=float)  # the bound is for doubles
+        with np.errstate(all="ignore"):  # inf or nan evidence leaves its row uncertain, not a warning
+            norms = np.einsum("ij,ij->i", X, X)
+            log_w = scaled_means @ X.T
+            log_w += offsets[:, None]
+            log_w -= log_w.max(axis=0)
+            eta = eta_slope * (np.sqrt(norms) + max_norm) ** 2 - eta_relief * norms
+            eta += eta_floor
+            return log_w, eta
+
+    return weights
+
+
 def _bayes_ties(mixture: Mixture, cost: CostMatrix, X: np.ndarray) -> np.ndarray:
     """(k, n) mask of the decisions whose score ``sum_j pi_j kappa[j, d] f_j(x_i)`` ties the minimum."""
     scores = cost.values.T @ _weighted_densities(mixture, X)
@@ -220,25 +292,35 @@ def _with_kernel(out: np.ndarray, ok: np.ndarray, X: np.ndarray, kernel) -> np.n
     return out
 
 
-def _certified_ties(mixture: Mixture, cost: CostMatrix, X: np.ndarray) -> np.ndarray:
-    """The :func:`_bayes_ties` mask, from the mixture's product form on every row where it is certain.
+def _certified_ties(mixture: Mixture, cost: CostMatrix) -> Callable[[np.ndarray], np.ndarray]:
+    """The function ``X ->`` :func:`_bayes_ties` mask, from the product form on every row where it is certain.
 
-    A row is certain when no score lies within the factor ``exp(+-eta)`` of the
-    tie threshold (see ``mixtures._product``); the kernel recomputes the rest.
-    The product form needs positive costs in [2**-300, 2**900]: they keep every cost
-    times a weight of at least ``e**-400`` a normal double, and every score finite.
+    The product form serves Gaussians with one lambda in [2**-200, 2**200] and positive costs in [2**-300,
+    2**900], which keep every cost times a weight of at least ``e**-400`` normal and every score finite.
+    A row is certain when its live log-weights lie within ``_GAP`` of its top and no score lies within the
+    factor ``exp(+-eta)`` of the tie threshold; the kernel decides the rest, and every row without the product.
     """
-    product = mixture._labels.product
-    positive = cost.values[cost.values > 0]
-    if product is None or (positive.size and not (2.0**-300 <= positive.min() and positive.max() <= 2.0**900)):
-        return _bayes_ties(mixture, cost, X)
-    log_w, eta, ok = product(X)
-    with np.errstate(all="ignore"):
-        scores = cost.values.T @ np.exp(log_w, out=log_w)
-        threshold = scores.min(axis=0) * (1.0 + TIE_RTOL)
-        ties = scores <= threshold * np.exp(-eta)
-        ok &= (ties | (scores > threshold * np.exp(eta))).all(axis=0)
-    return _with_kernel(ties, ok, X, lambda rows: _bayes_ties(mixture, cost, rows))
+    arrays, positive = mixture._labels, cost.values[cost.values > 0]
+    product = None
+    if not arrays.is_interval.any() and np.all(arrays.lam == arrays.lam[0]):
+        if not positive.size or (2.0**-300 <= positive.min() and positive.max() <= 2.0**900):
+            product = _product(arrays.means, arrays.lam[0], arrays.log_prior, mixture.components[0].density.log_norm)
+    if product is None:
+        return lambda X: _bayes_ties(mixture, cost, X)
+    live = arrays.log_prior > -np.inf
+    live = slice(None) if live.all() else live  # a view, not a copy, when every label is live
+
+    def certified(X: np.ndarray) -> np.ndarray:
+        log_w, eta = product(X)
+        with np.errstate(all="ignore"):
+            ok = log_w[live].min(axis=0) >= -_GAP
+            scores = cost.values.T @ np.exp(log_w, out=log_w)
+            threshold = scores.min(axis=0) * (1.0 + TIE_RTOL)
+            ties = scores <= threshold * np.exp(-eta)
+            ok &= (ties | (scores > threshold * np.exp(eta))).all(axis=0)
+        return _with_kernel(ties, ok, X, lambda rows: _bayes_ties(mixture, cost, rows))
+
+    return certified
 
 
 def bayes_decide(mixture: Mixture, cost: CostMatrix, x) -> int:
@@ -250,9 +332,10 @@ def bayes_decide(mixture: Mixture, cost: CostMatrix, x) -> int:
 def bayes_classifier(mixture: Mixture, cost: CostMatrix) -> DeterministicClassifier:
     """The :func:`bayes_decide` rule packaged as a vectorized classifier."""
     _check_cost(mixture, cost)
+    ties = _certified_ties(mixture, cost)
 
     def rule(X: np.ndarray) -> np.ndarray:
-        return np.argmax(_certified_ties(mixture, cost, X), axis=0)
+        return np.argmax(ties(X), axis=0)
 
     return DeterministicClassifier(mixture.label_count, rule, name="bayes")
 
@@ -264,9 +347,10 @@ def randomized_bayes_classifier(mixture: Mixture, cost: CostMatrix) -> Randomize
     :func:`bayes_decide` at every ``x``; on the two-uniform overlap it is a fair coin.
     """
     _check_cost(mixture, cost)
+    certified = _certified_ties(mixture, cost)
 
     def rule(X: np.ndarray) -> np.ndarray:
-        ties = _certified_ties(mixture, cost, X)
+        ties = certified(X)
         return (ties / ties.sum(axis=0)).T
 
     return RandomizedClassifier(mixture.label_count, rule, name="randomized-bayes")
@@ -309,11 +393,11 @@ def nearest_mean_classifier(mixture: Mixture) -> DeterministicClassifier:
     Requires every component to be Gaussian with a common lambda and equal
     priors; under those assumptions this rule is Bayes-optimal for 0-1 cost.
 
-    The rule reads the one bound of ``mixtures._product``, on a product form of
-    its own: the means, the first lambda, zero log priors and a zero
-    ``log_norm``, so its log-weights are ``-|x - mu_j|^2 / (2 lam)`` up to one
-    column shift. It does not reuse the mixture's product, whose priors may differ
-    from equal by up to 1e-12 and would certify against the density kernel. The bound
+    The rule reads the one bound of :func:`_product`, on a product form built from
+    the means, the first lambda, zero log priors and a zero ``log_norm``, so its
+    log-weights are ``-|x - mu_j|^2 / (2 lam)`` up to one column shift. It does not
+    take the mixture's priors, which may differ from equal by up to 1e-12 and would
+    certify against the density kernel. The bound
     also covers the distance kernel: its rounding of ``|x - mu_j|^2``, scaled by
     ``h = 1 / (2 lam)``, lies inside the ``(d + 5) u h |x - mu_j|^2`` budgeted for the
     density kernel. A row is certain when exactly one class has a log-weight of at
@@ -336,7 +420,7 @@ def nearest_mean_classifier(mixture: Mixture) -> DeterministicClassifier:
     def rule(X: np.ndarray) -> np.ndarray:
         if product is None:
             return _nearest_mean_kernel(means, X)
-        log_w, eta, _ = product(X)
+        log_w, eta = product(X)
         near = log_w >= -eta  # inf or nan evidence gives no class or every class: uncertain
         certain = near.sum(axis=0) == 1
         return _with_kernel(np.argmax(near, axis=0), certain, X, lambda rows: _nearest_mean_kernel(means, rows))

@@ -26,12 +26,8 @@ is the only array it holds of length ``n``.
 A mixture builds its per-label arrays once (``Mixture._labels``: kind,
 interval ends, means, lambdas and their square roots, log priors), and the
 sampler and the decision rules read them. ``_weighted_densities`` is the
-evidence kernel and the oracle; :func:`posterior_matrix`, every interval or
-mixed-kind mixture and every mixture whose lambdas differ use it alone.
-``_product`` builds the function that gives the weights of Gaussians with one
-lambda from one matrix product, together with one per-row bound on how far
-they can be from the kernel's; ``decisions`` uses it where the bound certifies
-a decision and falls back to the kernel elsewhere.
+evidence kernel and the oracle: :func:`posterior_matrix` and the rules of
+``decisions`` read it, except on the rows a certified product form decides.
 """
 
 from __future__ import annotations
@@ -40,7 +36,7 @@ import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -69,9 +65,6 @@ LabelId = int
 
 PRIOR_SUM_TOL = 1e-12
 _CHUNK_ROWS = 1 << 14  # cases sampled at a time, so each chunk's arrays stay in cache
-_U = 2.0**-53  # unit roundoff of a double
-_GAP = 400.0  # a certain row has every live log-weight within this of its largest
-_Weights = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]  # X -> (log_w, eta, ok), see _product
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -199,90 +192,12 @@ class Mixture:
         return arr.reshape(1, -1)
 
 
-def _product(means: np.ndarray, lam: float, log_prior: np.ndarray, log_norm: float) -> _Weights | None:
-    """The product form of Gaussians with common ``lam``, or None when ``lam`` is outside [2**-200, 2**200].
-
-    It is the function ``X -> (log_w, eta, ok)``: the logs of the kernel's weights from one
-    matrix product, and how far they can be from the kernel's.
-
-    For an isotropic Gaussian ``log(pi_j f_j(x)) = c_j + x.mu_j / lam - |x|^2 / (2 lam)``
-    with ``c_j = log pi_j - |mu_j|^2 / (2 lam) - (d/2) log(2 pi lam)``, so all k
-    log-weights of a row come from one (k, d) @ (d, n) product. ``log_w`` holds them
-    shifted so each column's largest is 0; ``W = exp(log_w)`` are then the weights of
-    :func:`_weighted_densities`, which stays the oracle. The product leaves out ``|x|^2 / (2 lam)``: with one lambda it
-    shifts the whole column, and the shift to a largest of 1 takes it out again.
-
-    The bound. Write ``u = 2**-53``, ``h = 1 / (2 lam)``, ``r = |x|``,
-    ``m = max |mu_j|`` and ``ab = max |a_j| + |b|`` over the live labels, where
-    ``a_j = log pi_j`` and ``b = (d/2) log(2 pi lam)`` are the floats both paths
-    add; ``l_j`` is the exact log-weight built from them. A sum or dot of n terms, in
-    any order and with or without FMA (BLAS, numpy's SIMD loops), is within
-    ``n u / (1 - n u)`` of the sum of the terms' absolute values.
-
-    * The kernel rounds ``x - mu_j``, its square, a d-term sum, a division and two
-      additions: it is within ``(d + 5) u h |x - mu_j|^2 + 2 u ab`` of ``l_j``, and
-      ``|x - mu_j| <= r + m``.
-    * The product rounds ``mu_j / lam`` and a d-term dot (``(d + 1) u 2 h sum_i |x_i mu_ji|``,
-      at most ``(d + 1) u 2 h r m`` by Cauchy-Schwarz, so no second product is needed),
-      ``|mu_j|^2 / (2 lam)`` and ``c_j`` (``(d + 4) u h m^2 + 2 u ab``) and at most two
-      more additions: it is within ``(d + 6) u h ((r + m)^2 - r^2) + 4 u ab``.
-    * Each path subtracts its column's top; the top is a factor common to the column,
-      which no comparison of its entries sees, and the subtraction adds
-      ``u |l_j - l_top| <= u (h (r + m)^2 + 2 ab)``. The caller's ``exp`` is allowed 8 ulp
-      (``17 u`` in the log), a cost product over k non-negative terms ``(k + 1) u``, and
-      ``u h (r + m)^2`` covers the rounded ``r``, ``m`` and ``n u / (1 - n u)`` here.
-
-    So two entries of a column, each a cost-weighted sum of weights, compare within
-    ``eta_1 = (2 d + 14) u h (r + m)^2 - (d + 6) u h r^2 + 10 u ab + (2 k + 36) u``
-    of how the kernel's compare. A comparison against a threshold that is a rounded
-    product of another entry, times a rounded ``exp(+-eta)``, agrees with the kernel's
-    when ``eta >= 2 eta_1 + 24 u``; ``eta`` is that with ``8 u`` to spare for its own
-    rounding. For d = 8, k = 10, equal priors and unit lambda it stays below ``TIE_RTOL``
-    while ``r + m < 17``.
-
-    On weights the bound holds while none is subnormal: ``ok`` marks the rows whose live
-    log-weights all lie within ``_GAP`` of the top, so every weight is at least
-    ``e**-400`` in both paths; a comparison of log-weights needs no such floor. Underflow elsewhere (a product ``x_i mu_i``, ``|x|^2``
-    of tiny evidence) adds at most ``d 2**-1074`` per sum; the lambda range keeps that
-    far below ``u`` after the scaling by ``h``.
-    Evidence with inf or nan gives a nan or infinite eta, which no comparison passes.
-    A zero prior's log-weight is -inf in both paths and its weight exactly 0.
-    """
-    if not 2.0**-200 <= lam <= 2.0**200:
-        return None
-    k, d = means.shape
-    h = 0.5 / lam
-    sq_norms = np.einsum("ij,ij->i", means, means)
-    live = np.flatnonzero(log_prior > -np.inf)
-    scaled_means, offsets = means / lam, log_prior - sq_norms * h - log_norm
-    max_norm = math.sqrt(sq_norms[live].max())
-    eta_slope, eta_relief = (4 * d + 28) * _U * h, (2 * d + 12) * _U * h
-    eta_floor = 20 * _U * float(np.abs(log_prior[live]).max() + abs(log_norm)) + (4 * k + 104) * _U
-    live = slice(None) if live.size == k else live  # a view, not a copy, when every label is live
-
-    def weights(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        X = np.asarray(X, dtype=float)  # the bound is for doubles
-        with np.errstate(all="ignore"):  # inf or nan evidence leaves its row uncertain, not a warning
-            norms = np.einsum("ij,ij->i", X, X)
-            log_w = scaled_means @ X.T
-            log_w += offsets[:, None]
-            log_w -= log_w.max(axis=0)
-            ok = log_w[live].min(axis=0) >= -_GAP
-            eta = eta_slope * (np.sqrt(norms) + max_norm) ** 2 - eta_relief * norms
-            eta += eta_floor
-            return log_w, eta, ok
-
-    return weights
-
-
 @dataclass(frozen=True, eq=False)
 class _LabelArrays:
     """Every label's parameters as arrays, built once per mixture (``Mixture._labels``).
 
     The other kind's slots stay harmless: an interval has mean 0 and lambda 1,
-    a Gaussian lo = span = 0. ``product`` is the weights function of
-    :func:`_product`, or None unless every component is a Gaussian and all share
-    one lambda in [2**-200, 2**200]; a mixture whose lambdas differ takes the kernel.
+    a Gaussian lo = span = 0.
     """
 
     is_interval: np.ndarray
@@ -292,25 +207,21 @@ class _LabelArrays:
     lam: np.ndarray
     scale: np.ndarray  # sqrt(lam)
     log_prior: np.ndarray  # -inf for a zero prior
-    product: _Weights | None
 
 
 def _label_arrays(mixture: Mixture) -> _LabelArrays:
     k, d = mixture.label_count, mixture.dimension
     is_interval, lo, span = np.zeros(k, dtype=bool), np.zeros(k), np.zeros(k)
-    means, lam, log_norm = np.zeros((k, d)), np.ones(k), np.zeros(k)
+    means, lam = np.zeros((k, d)), np.ones(k)
     for j, comp in enumerate(mixture.components):
         f = comp.density
         if isinstance(f, UniformInterval):
             is_interval[j], lo[j], span[j] = True, f.lo, f.hi - f.lo
         else:
-            means[j], lam[j], log_norm[j] = f.mean, f.lam, f.log_norm
+            means[j], lam[j] = f.mean, f.lam
     with np.errstate(divide="ignore"):  # a zero prior has log -inf
         log_prior = np.array([np.log(c.prior) for c in mixture.components])
-    product = None
-    if not is_interval.any() and np.all(lam == lam[0]):
-        product = _product(means, lam[0], log_prior, log_norm[0])
-    return _LabelArrays(is_interval, lo, span, means, lam, np.sqrt(lam), log_prior, product)
+    return _LabelArrays(is_interval, lo, span, means, lam, np.sqrt(lam), log_prior)
 
 
 def uniform_overlap_mixture(a: float, b: float) -> Mixture:

@@ -403,7 +403,7 @@ class GroupComparison:
 
 
 def check_request(dataset: SurveyDataset, questions: Sequence[str], groups: Sequence[str], alpha: float) -> None:
-    """Refuse an ``alpha`` outside (0, 1) and any question or group the dataset does not hold."""
+    """Refuse an ``alpha`` outside (0, 1), and any question or group the dataset lacks or that is listed twice."""
     if not 0.0 < alpha < 1.0:
         raise InputError(f"alpha must lie strictly between 0 and 1, got {alpha}")
     known = dataset.questions()
@@ -414,6 +414,10 @@ def check_request(dataset: SurveyDataset, questions: Sequence[str], groups: Sequ
     for g in groups:
         if g not in known:
             raise InputError(f"unknown group {g!r} (available: {', '.join(known)})")
+    for kind, names in (("question", questions), ("group", groups)):
+        if len(set(names)) < len(names):
+            repeated = next(name for i, name in enumerate(names) if name in names[:i])
+            raise InputError(f"{kind} {repeated!r} is listed more than once")
 
 
 def compare_groups(

@@ -3,10 +3,12 @@
 Bayes, randomized Bayes and nearest-mean rules decide a Gaussian mixture with
 one lambda from one matrix product and fall back to the log-domain kernel
 (``mixtures._weighted_densities``, ``decisions._nearest_mean_kernel``) on every
-row the rounding bound cannot certify; the likelihood-ratio rule and mixtures
-whose lambdas differ take the kernel alone. These tests force rows onto and
-next to decision boundaries and check that every decision is the kernel's,
-and count the rows that fall back.
+row the rounding bound cannot certify (``decisions._product`` derives it). The
+likelihood-ratio rule, mixtures whose lambdas differ, lambdas outside
+[2**-200, 2**200] and, for the Bayes rules, costs outside [2**-300, 2**900]
+take the kernel alone. These tests force rows onto and next to decision
+boundaries and check that every decision is the kernel's, and count the rows
+that fall back.
 """
 
 import math
@@ -146,9 +148,9 @@ def test_certified_decisions_are_the_kernels_on_forced_near_ties(case):
 @settings(derandomize=True, max_examples=50, deadline=None)
 @given(near_tie_cases())
 def test_an_infinite_bound_sends_every_row_to_the_kernel(case):
-    # an infinite unit roundoff makes every bound that mixtures._product builds infinite
-    # (or nan): no row is certain; nearest-mean builds its product there too
-    with mock.patch.object(mixtures, "_U", math.inf):
+    # an infinite unit roundoff makes every bound that decisions._product builds infinite
+    # (or nan): no row is certain; every rule builds its product inside the patch
+    with mock.patch.object(decisions, "_U", math.inf):
         assert_decisions_match_the_kernel(case)
 
 
@@ -241,6 +243,19 @@ def test_rows_off_the_bisector_take_the_product(monkeypatch):
     assert (rows.bayes, rows.nearest, rows.weighted) == (0, 0, 0)
 
 
+@pytest.mark.parametrize("scale, kernel_rows", [(2.0**-301, 1000), (2.0**-300, 0), (2.0**900, 0), (2.0**901, 1000)])
+def test_costs_outside_their_range_take_the_kernel(monkeypatch, scale, kernel_rows):
+    # positive costs in [2**-300, 2**900] keep every cost times a certain row's weights a normal double
+    X = np.random.default_rng(5).normal(size=(1000, 2))
+    X = X[np.abs((X - [1.0, 0.5]) @ [2.0, 1.0]) > 1e-6]
+    cost = CostMatrix(scale * ZERO_ONE.values)
+    ties = decisions._bayes_ties(BISECTED, cost, X)
+    rows = KernelRows(monkeypatch)
+    assert np.array_equal(bayes_classifier(BISECTED, cost).decide_batch(X), np.argmax(ties, axis=0))
+    assert np.array_equal(randomized_bayes_classifier(BISECTED, cost).distributions(X), (ties / ties.sum(axis=0)).T)
+    assert len(X) == 1000 and rows.bayes == 2 * kernel_rows
+
+
 def test_nearest_mean_stays_certain_on_classes_far_apart(monkeypatch):
     # at either mean the other class's log-weight is 1800 below: far past the weights' e**-400 floor
     mixture = gaussian_mixture([[0.0], [60.0]], 1.0)
@@ -257,10 +272,16 @@ def test_nearest_mean_outside_the_lambda_range_takes_the_kernel(monkeypatch, lam
     mixture = gaussian_mixture(means, lam)
     X = np.random.default_rng(7).normal(size=(200, 2)) * math.sqrt(lam)
     X = np.r_[X, (means[:1] + means[1:2]) / 2.0]
+    cost = CostMatrix.zero_one(3)
+    ties = decisions._bayes_ties(mixture, cost, X)
     rows = KernelRows(monkeypatch)
     nearest = nearest_mean_classifier(mixture).decide_batch(X)
     assert rows.nearest == len(X)
     assert np.array_equal(nearest, decisions._nearest_mean_kernel(means, X))
+    # the Bayes rules take the kernel there too
+    assert np.array_equal(bayes_classifier(mixture, cost).decide_batch(X), np.argmax(ties, axis=0))
+    assert np.array_equal(randomized_bayes_classifier(mixture, cost).distributions(X), (ties / ties.sum(axis=0)).T)
+    assert rows.bayes == 2 * len(X)
 
 
 def test_unequal_lambdas_and_the_likelihood_ratio_rule_take_the_kernel(monkeypatch):

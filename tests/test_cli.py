@@ -360,6 +360,12 @@ class TestCompare:
         )
         assert code == 2
 
+    def test_a_group_listed_twice_is_refused(self, capsys, survey_file):
+        argv = ["compare", "--data", survey_file, "--question", "q1", "--groups", "teachers,teachers"]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: group 'teachers' is listed more than once\n"
+
     def test_missing_data_file(self, capsys, tmp_path):
         code, _, err = run(
             capsys,
@@ -596,8 +602,11 @@ class TestReport:
             (["--categorical", "q1", "--alpha", "-1"], "alpha must lie strictly between 0 and 1, got -1.0"),
             (["--groups", "teachers,nobody"], "unknown group 'nobody' (available: teachers, academics)"),
             (["--questions", "nope"], "unknown question 'nope'"),
+            (["--questions", "q1,q1"], "question 'q1' is listed more than once"),
+            (["--groups", "academics,teachers,academics"], "group 'academics' is listed more than once"),
         ],
-        ids=["alpha-5", "alpha-negative-categorical", "unknown-group", "unknown-question"],
+        ids=["alpha-5", "alpha-negative-categorical", "unknown-group", "unknown-question", "repeated-question",
+             "repeated-group"],
     )
     def test_arguments_are_checked_before_any_work(self, capsys, survey_file, tmp_path, argv, message):
         out_dir = tmp_path / "report"
