@@ -100,7 +100,10 @@ class DeterministicClassifier:
         return int(self.decide_batch(np.atleast_2d(np.asarray(x, dtype=float)))[0])
 
     def decide_batch(self, X: np.ndarray) -> np.ndarray:
-        labels = np.asarray(self.batch_rule(X), dtype=np.int64)
+        labels = np.asarray(self.batch_rule(X))
+        if labels.dtype.kind not in "biu":  # checked before the cast, which would truncate 0.7 to 0
+            raise InputError(f"classifier {self.name!r} returned labels of dtype {labels.dtype}, not integers")
+        labels = labels.astype(np.int64, copy=False)
         if labels.shape != (X.shape[0],):
             raise InputError(f"classifier {self.name!r} returned labels of shape {labels.shape}")
         if labels.size and not 0 <= labels.min() <= labels.max() < self.label_count:
@@ -133,9 +136,8 @@ class RandomizedClassifier:
         probs = np.asarray(self.batch_rule(X), dtype=float)
         if probs.shape != (X.shape[0], self.label_count):
             raise InputError(f"classifier {self.name!r} returned shape {probs.shape}")
-        if np.any(probs < -DISTRIBUTION_TOL) or np.any(
-            np.abs(probs.sum(axis=1) - 1.0) > DISTRIBUTION_TOL
-        ):
+        # written so that nan fails both checks
+        if not (np.all(probs >= -DISTRIBUTION_TOL) and np.all(np.abs(probs.sum(axis=1) - 1.0) <= DISTRIBUTION_TOL)):
             raise InputError(f"classifier {self.name!r} returned an invalid distribution")
         return probs
 
@@ -381,9 +383,14 @@ def two_class_likelihood_rule(mixture: Mixture, cost: CostMatrix) -> Determinist
 
 
 def _nearest_mean_kernel(means: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Index of the nearest mean by per-class squared distances; the lowest index on ties."""
+    """Index of the nearest mean by per-class squared distances; the lowest index on ties.
+    Raises :class:`UnsupportedEvidenceError` naming the first row with a distance that is not finite."""
     # class by class, so the largest temporary is (n, d), not (n, k, d)
-    d2 = np.stack([((X - mu) ** 2).sum(axis=1) for mu in means], axis=1)
+    with np.errstate(over="ignore"):  # far evidence is refused below
+        d2 = np.stack([((X - mu) ** 2).sum(axis=1) for mu in means], axis=1)
+    finite = np.isfinite(d2).all(axis=1)
+    if not finite.all():
+        raise UnsupportedEvidenceError(f"evidence row {int(np.argmin(finite))} has a distance to a mean that is not finite")
     return np.argmin(d2, axis=1)
 
 

@@ -8,7 +8,7 @@ class InputError(ValueError):
 
 
 class UnsupportedEvidenceError(InputError):
-    """Raised when evidence falls outside the support of every class density.
+    """Raised when evidence falls outside the support of every class density, or cannot be scored (nan).
 
     The posterior is undefined at such points; callers get an explicit error
     instead of NaN.

@@ -124,9 +124,9 @@ class IsotropicGaussian:
         return self.dimension / 2.0 * math.log(2.0 * math.pi * self.lam)
 
     def logpdf(self, x: np.ndarray) -> np.ndarray:
-        sq = np.sum((x - self.mean) ** 2, axis=1)
-        # a subnormal lambda overflows the quotient to -inf, the exact limit of the log density
+        # far evidence overflows the distance, and a subnormal lambda the quotient, to -inf: the exact limit
         with np.errstate(over="ignore"):
+            sq = np.sum((x - self.mean) ** 2, axis=1)
             return -sq / (2.0 * self.lam) - self.log_norm
 
 
@@ -272,13 +272,16 @@ def _weighted_densities(mixture: Mixture, X: np.ndarray) -> np.ndarray:
 
     Evaluated in the log domain, each column shifted so its largest entry is 1: nothing underflows.
     Class-major, so reductions over classes run along the long axis. Raises
-    :class:`UnsupportedEvidenceError` if any row has zero density under every class.
+    :class:`UnsupportedEvidenceError` naming the first row with zero density under every
+    class, or whose density is nan (nan evidence).
     """
     weighted = np.stack([a + c.density.logpdf(X) for a, c in zip(mixture._labels.log_prior, mixture.components)])
     top = weighted.max(axis=0)
-    if np.isneginf(top).any():
-        bad = int(np.argmax(np.isneginf(top)))
-        raise UnsupportedEvidenceError(f"evidence row {bad} has zero density under every class")
+    scored = top > -np.inf  # False on nan too
+    if not scored.all():
+        bad = int(np.argmin(scored))
+        why = "is not a number" if np.isnan(top[bad]) else "has zero density under every class"
+        raise UnsupportedEvidenceError(f"evidence row {bad} {why}")
     weighted -= top
     return np.exp(weighted, out=weighted)
 

@@ -8,9 +8,10 @@ question, responses coded 1..k, an empty field meaning missing. Each
 A file is read by one of two routes. Plain files (ASCII, no quotes, no
 whitespace but newlines, the exact header, every row 4 fields wide, responses
 written as decimal codes 1..k, leading zeros allowed) are parsed as bytes in
-numpy. Every other file goes through ``csv.reader``, which is the reference:
-both routes give the same dataset, and only the ``csv.reader`` route words a
-parse error.
+numpy, each column encoded by ``np.unique`` over a zero-padded byte matrix.
+Every other file goes through ``csv.reader``, which is the reference: both
+routes give the same dataset, and only the ``csv.reader`` route words a parse
+error. Both read responses with one function, ``_response_codes``.
 """
 
 from __future__ import annotations
@@ -193,47 +194,55 @@ _BOM = b"\xef\xbb\xbf"
 # ASCII bytes that send a file to the csv route: NUL, the quote, and every byte
 # str.isspace accepts but the newline, so no field needs a strip; the quote is the largest
 _OFF_ROUTE = np.array([c == 0 or chr(c) == '"' or (chr(c).isspace() and chr(c) != "\n") for c in range(ord('"') + 1)])
-# int64 holds every number of this many decimal digits
-_MAX_DIGITS = 18
-# a name column is copied into its key matrix one byte position per pass; a column
+# a column is copied into its key matrix one byte position per pass; a column
 # may take as many passes as it has rows, or this many if it has fewer rows
 _FREE_PASSES = 64
 
 
-def _byte_codes(body: np.ndarray, start: np.ndarray, end: np.ndarray, width: int, category_count: int) -> np.ndarray | None:
-    """Response codes of fields at most ``width`` bytes long that are empty (0) or a code
-    1..k in decimal digits, leading zeros allowed, or None if any field is spelled otherwise.
-    Separators read as 0."""
-    code = np.zeros(start.size, dtype=np.int64)
-    for p in range(width):
-        digit = body[np.minimum(start + p, end)] - ord("0")  # a separator wraps past 9
-        is_digit = digit <= 9
-        if not np.array_equal(is_digit, end - start > p):  # every byte of a field is a digit
-            return None
-        code = np.where(is_digit, code * 10 + digit, code)
-    # a written 0 (0, 00) and a code past k are the csv route's to word
-    return None if int(code.max()) > category_count or np.any((code == 0) & (end > start)) else code
+def _response_codes(column: Encoded, category_count: int) -> tuple[np.ndarray, tuple[int, str] | None]:
+    """The codes of an ``_encode``d response column, reading each distinct text once: an
+    empty text is 0 (missing), any other ``int(text)``, which must lie in 1..k. Returns the
+    codes of the rows before the first refused one, and (that row, why) or None."""
+    texts, rows = column
+    values: list[int] = []
+    for text in texts:
+        try:
+            value = int(text) if text else 0
+        except ValueError:
+            why = f"response {text!r} is not an integer"
+        else:
+            if not text or 1 <= value <= category_count:
+                values.append(value)
+                continue
+            why = f"response {value} outside 1..{category_count}"
+        # texts come in first-appearance order, so this text's first row is the first refused row
+        row = int(np.argmax(rows == len(values)))
+        return np.array(values)[rows[:row]], (row, why)
+    return np.array(values)[rows], None
 
 
 def _byte_names(body: np.ndarray, start: np.ndarray, end: np.ndarray, width: int) -> Encoded:
     """``_encode`` of one column of fields at most ``width`` bytes long, without a
     string per row. Separators read as 0."""
-    width = max(width, 1)
-    keys = np.empty((start.size, width), dtype=np.uint8)
+    # a key of up to 8 bytes is zero-padded to 1, 2, 4 or 8 and sorted as one unsigned integer
+    padded = next((w for w in (1, 2, 4, 8) if width <= w), width)
+    keys = np.zeros((start.size, padded), dtype=np.uint8)
     for p in range(width):
         keys[:, p] = body[np.minimum(start + p, end)]
-    # S{width} drops the zero padding; the fields hold no NUL to lose with it
-    distinct, first, inverse = np.unique(keys.view(f"S{width}").ravel(), return_index=True, return_inverse=True)
+    view = keys.view(f"u{padded}" if padded <= 8 else f"S{padded}").ravel()
+    _, first, inverse = np.unique(view, return_index=True, return_inverse=True)
     order = np.argsort(first)
     rank = np.empty(order.size, dtype=np.intp)
     rank[order] = np.arange(order.size)
-    return [name.decode("ascii") for name in distinct[order].tolist()], rank[inverse]
+    # S{padded} drops the zero padding; the fields hold no NUL to lose with it
+    names = keys[first[order]].view(f"S{padded}").ravel().tolist()
+    return [name.decode("ascii") for name in names], rank[inverse]
 
 
 def _byte_columns(path: Path, category_count: int) -> tuple[_Columns, list[int]] | None:
     """The columns and blank rows of a plain file (see ``load_survey_csv``), parsed as
     bytes; None sends the file to the csv route, and so does a file with no record.
-    Every test that can send the file away runs before any column is built, and a file
+    Every test that can send the file away runs before any name column is built, and a file
     whose first line is not the header costs one small read."""
     try:
         if path.stat().st_size >= 2**31 - 1:  # the offsets are int32
@@ -268,15 +277,13 @@ def _byte_columns(path: Path, category_count: int) -> tuple[_Columns, list[int]]
         return None
     rows = ends.size // 4
     longest = [int((ends[j::4] - starts[j::4]).max()) for j in range(4)]  # each column's widest field
-    if max(longest) > csv.field_size_limit() or longest[3] > _MAX_DIGITS:
-        return None
-    # a key matrix no larger than the file, and no more passes than max(rows, _FREE_PASSES)
-    if any(w > max(rows, _FREE_PASSES) or rows * w > body.size for w in longest[:3]):
+    # no field past the csv limit, a key matrix no larger than the file, and no more passes than max(rows, _FREE_PASSES)
+    if any(w > csv.field_size_limit() or w > max(rows, _FREE_PASSES) or rows * w > body.size for w in longest):
         return None
     body[ends] = 0
     starts, ends = starts.reshape(-1, 4).T, ends.reshape(-1, 4).T
-    response = _byte_codes(body, starts[3], ends[3], longest[3], category_count)
-    if response is None:
+    response, refused = _response_codes(_byte_names(body, starts[3], ends[3], longest[3]), category_count)
+    if refused is not None:  # the csv route words the refusal
         return None
     names = [_byte_names(body, starts[j], ends[j], longest[j]) for j in range(3)]
     return _Columns(*names, response), blanks
@@ -303,15 +310,18 @@ def load_survey_csv(path: str | Path, category_count: int = 5) -> SurveyDataset:
     mark it is ASCII with no NUL, no quote and no whitespace but ``\n``, its
     first line is exactly the header, every row is blank or 4 fields wide, no
     field is longer than ``csv.field_size_limit()``, and every response is
-    empty or a code 1..k in decimal digits, leading zeros allowed (``02`` reads
-    2; ``0`` and ``00`` do not pass). Any other file is read whole by
-    ``csv.reader`` and stripped field by field, and so is one whose names
-    would need a key matrix larger than the file, or a name longer than both
-    its column's row count and 64 bytes (the matrix is filled one byte
-    position per pass). That route words every parse error, and both give
-    the same dataset on a plain file. A file whose first line is not the
-    header costs the byte route one small read; one that fails later costs
-    it a scan of the whole file first.
+    empty or a decimal code 1..k, leading zeros allowed (``02`` reads 2; ``0``,
+    ``00`` and codes past k do not pass). Each column is encoded by ``np.unique``
+    over a zero-padded key matrix, one unsigned integer per row when the widest
+    field fits 8 bytes. Any other file is read whole by ``csv.reader`` and
+    stripped field by field, and so is one with a column that would need a key
+    matrix larger than the file, or a field longer than both its column's row
+    count and 64 bytes (the matrix is filled one byte position per pass). That
+    route words every parse error. Both routes read responses with
+    ``_response_codes``, which reads each distinct text once as ``int(text)``,
+    so they give the same dataset on a plain file. A file whose first line is
+    not the header costs the byte route one small read; one that fails later
+    costs it a scan of the whole file first.
     """
     if category_count < 2:
         raise InputError(f"category count must be >= 2, got {category_count}")
@@ -356,35 +366,15 @@ def _csv_rows(path: Path, category_count: int) -> SurveyDataset:
         # like a row of the wrong width: a bad response on an earlier row wins
         bad_row = str(exc)
 
-    raw = list(map(str.strip, fields[3::4]))
-    # the table never outgrows the rows; codes beyond it go through int() below
-    table = {str(v): v for v in range(1, min(category_count, len(raw)) + 1)}
-    table[""] = 0
-    codes = list(map(table.get, raw))
-    stop = None  # (record, message): the first record the parse refused
-    if None in codes:
-        # other spellings of a code (03, +3, non-ASCII digits) and bad responses
-        for i, code in enumerate(codes):
-            if code is None:
-                try:
-                    code = int(raw[i])
-                except ValueError:
-                    stop = i, f"response {raw[i]!r} is not an integer"
-                    break
-                if not 1 <= code <= category_count:
-                    stop = i, f"response {code} outside 1..{category_count}"
-                    break
-                codes[i] = code
+    response, stop = _response_codes(_encode(list(map(str.strip, fields[3::4]))), category_count)
     if stop is None and bad_row is not None:
-        stop = len(codes), bad_row
-    if stop is not None:
-        del codes[stop[0] :]  # the records before the refused one are checked first
-    elif not codes:
+        stop = len(response), bad_row
+    elif stop is None and not response.size:
         raise InputError(f"{path}: no records")
-    if codes:
+    if response.size:  # the records before the refused one are checked first
         # the string columns live only until they are encoded
-        names = (_encode(list(map(str.strip, fields[j : 4 * len(codes) : 4]))) for j in range(3))
-        dataset = _indexed(path, _Columns(*names, np.array(codes)), category_count, blanks)
+        names = (_encode(list(map(str.strip, fields[j : 4 * response.size : 4]))) for j in range(3))
+        dataset = _indexed(path, _Columns(*names, response), category_count, blanks)
     if stop is not None:
         raise InputError(f"{path}:{_line(blanks, stop[0])}: {stop[1]}")
     return dataset

@@ -560,3 +560,67 @@ class TestExactClassifierCost:
         m = overlap()
         mr = randomized_bayes_classifier(m, ZERO_ONE)
         assert expected_cost_of_classifier(m, ZERO_ONE, mr, 0.2) == 0.0
+
+
+GAUSS_2 = gaussian_mixture([[0.0], [1.0]], 1.0)
+# the product path sends these rows to the kernel; 1e200 overflows every squared distance
+NOT_A_NUMBER = "is not a number"
+NO_DENSITY = "has zero density under every class"
+NO_DISTANCE = "has a distance to a mean that is not finite"
+
+
+class TestNonFiniteEvidence:
+    """Each rule refuses nan evidence, and evidence too far to score, by its row and without a warning."""
+
+    @staticmethod
+    def refuse(decide, cases):
+        # the bad row follows a good one, so the message names its place in the whole batch
+        for x, why in cases:
+            with pytest.raises(UnsupportedEvidenceError, match=f"^evidence row 1 {why}$"):
+                decide(np.array([[0.3], [x]]))
+
+    def test_bayes_decide(self):
+        for x, why in ((np.nan, NOT_A_NUMBER), (np.inf, NO_DENSITY), (1e200, NO_DENSITY)):
+            with pytest.raises(UnsupportedEvidenceError, match=f"^evidence row 0 {why}$"):
+                bayes_decide(GAUSS_2, ZERO_ONE, [x])
+
+    def test_bayes_classifier(self):
+        rule = bayes_classifier(GAUSS_2, ZERO_ONE)
+        self.refuse(rule.decide_batch, ((np.nan, NOT_A_NUMBER), (np.inf, NO_DENSITY), (1e200, NO_DENSITY)))
+
+    def test_randomized_bayes_classifier(self):
+        rule = randomized_bayes_classifier(GAUSS_2, ZERO_ONE)
+        self.refuse(rule.distributions, ((np.nan, NOT_A_NUMBER), (-np.inf, NO_DENSITY), (1e200, NO_DENSITY)))
+
+    def test_likelihood_rule(self):
+        rule = two_class_likelihood_rule(GAUSS_2, ZERO_ONE)
+        self.refuse(rule.decide_batch, ((np.nan, NOT_A_NUMBER), (np.inf, NO_DENSITY), (-1e200, NO_DENSITY)))
+
+    def test_nearest_mean_classifier(self):
+        rule = nearest_mean_classifier(GAUSS_2)
+        self.refuse(rule.decide_batch, ((np.nan, NO_DISTANCE), (np.inf, NO_DISTANCE), (1e200, NO_DISTANCE)))
+
+    def test_posterior(self):
+        self.refuse(lambda X: mixtures.posterior_matrix(GAUSS_2, X), ((np.nan, NOT_A_NUMBER), (1e200, NO_DENSITY)))
+        with pytest.raises(UnsupportedEvidenceError, match=f"^evidence row 0 {NOT_A_NUMBER}$"):
+            mixtures.posterior(GAUSS_2, [np.nan])
+
+
+class TestRuleOutputs:
+    """A user rule's output is refused, naming the rule, when it is not a label or not a distribution."""
+
+    def test_fractional_labels_are_refused_before_the_cast(self):
+        rule = DeterministicClassifier(2, lambda X: np.full(len(X), 0.7), name="seven-tenths")
+        with pytest.raises(InputError, match="classifier 'seven-tenths' returned labels of dtype float64, not integers"):
+            monte_carlo_cost(overlap(), ZERO_ONE, rule, 1000, 1)
+        # booleans are labels 0 and 1
+        halves = DeterministicClassifier(2, lambda X: X[:, 0] >= 0.75)
+        assert halves.decide_batch(np.array([[0.2], [0.9]])).tolist() == [0, 1]
+
+    def test_nan_distributions_are_refused(self):
+        rule = RandomizedClassifier(2, lambda X: np.full((len(X), 2), np.nan), name="nan")
+        with pytest.raises(InputError, match="classifier 'nan' returned an invalid distribution"):
+            monte_carlo_cost(overlap(), ZERO_ONE, rule, 1000, 1)
+        rule = RandomizedClassifier(2, lambda X: np.tile([np.inf, -np.inf], (len(X), 1)), name="infinite")
+        with pytest.raises(InputError, match="classifier 'infinite' returned an invalid distribution"):
+            rule.distributions(np.zeros((3, 1)))

@@ -181,6 +181,12 @@ def long_questions(width, rows):
         (HEADER + ROWS + "r3,g1,q1,005\n", "byte", None),
         (HEADER + ROWS + "r3,g1,q1,0\n", "csv", "{path}:5: response 0 outside 1..5"),
         (HEADER + ROWS + "r3,g1,q1,00\n", "csv", "{path}:5: response 0 outside 1..5"),
+        # both routes read a response with int(), so a sign or a digit separator is the same code on either
+        (HEADER + ROWS + "r3,g1,q1,+3\n", "byte", None),
+        (HEADER + ROWS + "r3,g1,q1,1_0\n", "csv", "{path}:5: response 10 outside 1..5"),
+        # one row, so the key matrix of a long code stays smaller than the file
+        ((HEADER + "r1,g1,q1,1234567890123456789\n", 10**25), "byte", None),
+        ((HEADER + "r1,g1,q1,99999999999999999999\n", 10**25), "byte", None),
         (HEADER, "csv", "{path}: no records"),
         (HEADER.rstrip("\n"), "csv", "{path}: no records"),
         (HEADER + ROWS + "r3,caf\u00e9,q1,2\n", "csv", None),
@@ -189,15 +195,18 @@ def long_questions(width, rows):
     ids=["past-field-limit", "at-field-limit", "64-of-40-rows", "65-of-40-rows", "100-of-100-rows", "101-of-100-rows", "long-id", "long-id-many-rows", "short-ids",
          "bom", "bom-duplicate", "padded-header", "crlf",
          "blank-rows", "blank-rows-empty-group", "no-final-newline", "zero-padded", "zero-padded-k", "zero", "zeros",
+         "plus-sign", "digit-separator", "19-digits-huge-k", "past-int64-huge-k",
          "header-only", "header-only-no-newline",
          "non-ascii", "latin-1"],
 )
 def test_each_route_guard_gives_what_the_csv_route_gives(monkeypatch, tmp_path, data, route, expected):
+    # data: the file's text or bytes, or (text, category count) for a count other than 5
+    data, category_count = data if isinstance(data, tuple) else (data, 5)
     path = tmp_path / "s.csv"
     path.write_bytes(data if isinstance(data, bytes) else data.encode())
-    want = loaded(survey._csv_rows, path)
+    want = loaded(survey._csv_rows, path, category_count)
     routes = Routes(monkeypatch)
-    assert loaded(load_survey_csv, path) == want
+    assert loaded(load_survey_csv, path, category_count) == want
     assert (routes.byte, routes.csv) == ((1, 0) if route == "byte" else (0, 1))
     if expected is None:
         assert not isinstance(want, str)
