@@ -384,13 +384,28 @@ def two_class_likelihood_rule(mixture: Mixture, cost: CostMatrix) -> Determinist
 
 def _nearest_mean_kernel(means: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Index of the nearest mean by per-class squared distances; the lowest index on ties.
-    Raises :class:`UnsupportedEvidenceError` naming the first row with a distance that is not finite."""
-    # class by class, so the largest temporary is (n, d), not (n, k, d)
-    with np.errstate(over="ignore"):  # far evidence is refused below
-        d2 = np.stack([((X - mu) ** 2).sum(axis=1) for mu in means], axis=1)
+
+    A row whose distances overflow is measured again with its evidence and the means scaled by the power
+    of two that takes its largest magnitude below ``2**T``, ``T = (1021 - bit_length(d)) // 2``, so that
+    ``d * (2 * 2**T)**2 < 2**1024``. Scaling by a power of two changes no comparison while nothing leaves
+    the normal range. Raises :class:`UnsupportedEvidenceError` naming the first row with a distance
+    that is still not finite (nan or infinite evidence)."""
+    def distances(X, scale):
+        # class by class, so the largest temporary is (n, d), not (n, k, d)
+        with np.errstate(over="ignore"):  # far evidence is measured again below
+            return np.stack([((X - mu * scale) ** 2).sum(axis=1) for mu in means], axis=1)
+
+    d2 = distances(X, 1.0)
     finite = np.isfinite(d2).all(axis=1)
     if not finite.all():
-        raise UnsupportedEvidenceError(f"evidence row {int(np.argmin(finite))} has a distance to a mean that is not finite")
+        far = np.flatnonzero(~finite)
+        top = np.maximum(np.abs(X[far]).max(axis=1), np.abs(means).max())
+        # below 1 for every finite row that overflowed; nan and infinite rows stay as they are
+        scale = np.minimum(np.ldexp(1.0, (1021 - X.shape[1].bit_length()) // 2 - np.frexp(top)[1]), 1.0)[:, None]
+        d2[far] = distances(X[far] * scale, scale)
+        finite = np.isfinite(d2).all(axis=1)
+        if not finite.all():
+            raise UnsupportedEvidenceError(f"evidence row {int(np.argmin(finite))} has a distance to a mean that is not finite")
     return np.argmin(d2, axis=1)
 
 

@@ -8,6 +8,7 @@ linear program; fictitious play shows how the equilibrium is learned.
 Fictitious play and the frequency exploiter of :mod:`randrule.repeated` take
 exact best responses for every finite payoff: two counting sides jump between
 score crossings, and a side facing a known policy is scored in blocks of rounds.
+Both tally their mean payoffs exactly, from the counts of the cells played.
 """
 
 from __future__ import annotations
@@ -162,7 +163,7 @@ class ZeroSumSolution:
 
 @dataclass(frozen=True, eq=False)
 class FictitiousPlayResult:
-    """Empirical profile, average payoff and the profile's duality gap ``max(A y) - min(x A)``."""
+    """Empirical profile, correctly rounded average payoff and the profile's duality gap ``max(A y) - min(x A)``."""
 
     profile: MixedProfile
     value_estimate: float
@@ -295,25 +296,38 @@ def _pick(scores: list[int], u: float) -> int:
     return ties[int(u * len(ties))]
 
 
-def _check_range(game: NormalFormGame, rounds: int, what: str) -> None:
-    """Refuse payoffs whose sums over ``rounds`` rounds could overflow a double."""
+def _check_range(game: NormalFormGame) -> None:
+    """Refuse payoffs of 2**1023 or more: a payoff gap can be twice the largest payoff."""
     big = max(float(np.abs(game.row_payoff).max()), float(np.abs(game.col_payoff).max()))
-    if big * (rounds + game.row_actions + game.col_actions) >= 2.0**1023:
-        raise InputError(f"payoff magnitude {big:g} over {rounds} {what} could overflow: scale the payoffs down")
+    if big >= 2.0**1023:
+        raise InputError(f"payoff magnitude {big:g} could overflow a payoff gap: scale the payoffs down")
 
 
-def _integers(M: np.ndarray, length: int) -> np.ndarray:
-    """``M`` times the one positive rational that makes its entries coprime integers.
+def _integers(M: np.ndarray, length: int) -> tuple[np.ndarray, int, int]:
+    """``(N, g, den)`` with ``M = N * g / den`` and ``N`` coprime integers.
 
     Every double is an integer over a power of two, so the largest denominator is a multiple of
-    every other. Counts summing to less than ``length`` keep each score below ``max|entry| * length``:
-    the entries are int64 when that is below 2**63, else Python ints.
+    every other. Counts summing to at most ``length`` keep each sum of counts times entries within
+    ``max|N| * length``: ``N`` is int64 when that is below 2**63, else Python ints.
     """
     ratios = [v.as_integer_ratio() for v in M.ravel().tolist()]
     den = max(d for _, d in ratios)
     g = math.gcd(*(n * den // d for n, d in ratios)) or 1
     ints = [n * den // d // g for n, d in ratios]
-    return np.array(ints, dtype=np.int64 if max(map(abs, ints)) * length < 2**63 else object).reshape(M.shape)
+    return np.array(ints, dtype=np.int64 if max(map(abs, ints)) * length < 2**63 else object).reshape(M.shape), g, den
+
+
+def _tally(game: NormalFormGame, rows: np.ndarray, cols: np.ndarray) -> tuple[float, float, np.ndarray, np.ndarray]:
+    """Mean row and column payoffs, then row and column action frequencies, of the cells ``(rows[t], cols[t])``.
+
+    A side's mean is the cell counts times its coprime integer payoffs (:func:`_integers`, whose ``length``
+    rule keeps an int64 sum exact) times ``g / (den * n)``: one int / int division, correctly rounded.
+    """
+    n = rows.size
+    counts = np.bincount(rows * game.col_actions + cols, minlength=game.row_payoff.size).reshape(game.row_payoff.shape)
+    sides = (_integers(M, n) for M in (game.row_payoff, game.col_payoff))
+    means = [int((counts * N).sum()) * g / (den * n) for N, g, den in sides]
+    return means[0], means[1], counts.sum(axis=1) / n, counts.sum(axis=0) / n
 
 
 def _run(scores: list[int], lead: int, slopes: list[int], limit: int) -> int:
@@ -383,10 +397,11 @@ def _best_responses(A, B, row_counts, col_counts, row_actions, col_actions, u_ro
     """
     length = row_actions.size + sum(A.shape)
     if row_counts is None:
-        return _score_blocks(_integers(B, length), col_counts, row_actions, col_actions, u_col)
+        return _score_blocks(_integers(B, length)[0], col_counts, row_actions, col_actions, u_col)
     if col_counts is None:
-        return _score_blocks(_integers(A.T, length), row_counts, col_actions, row_actions, u_row)
-    _jump(_integers(A, length), _integers(B.T, length), row_counts, col_counts, row_actions, col_actions, u_row, u_col)
+        return _score_blocks(_integers(A.T, length)[0], row_counts, col_actions, row_actions, u_row)
+    _jump(_integers(A, length)[0], _integers(B.T, length)[0], row_counts, col_counts,
+          row_actions, col_actions, u_row, u_col)
 
 
 def fictitious_play(game: NormalFormGame, iterations: int, tie_seed: int = 0) -> FictitiousPlayResult:
@@ -404,18 +419,16 @@ def fictitious_play(game: NormalFormGame, iterations: int, tie_seed: int = 0) ->
         raise InputError("fictitious play is only supported for zero-sum games")
     if iterations < 1:
         raise InputError(f"iterations must be >= 1, got {iterations}")
-    _check_range(game, iterations, "iterations")
+    _check_range(game)
     A = game.row_payoff
     with allocation(iterations, "iterations"):
         ties = generator(tie_seed).random(2 * iterations)
         rows, cols = np.empty((2, iterations), dtype=np.int64)
     _best_responses(A, game.col_payoff, np.ones(game.col_actions, dtype=np.int64),
                     np.ones(game.row_actions, dtype=np.int64), rows, cols, ties[0::2], ties[1::2])
-    x = np.bincount(rows, minlength=game.row_actions) / iterations
-    y = np.bincount(cols, minlength=game.col_actions) / iterations
-    profile = MixedProfile(MixedStrategy(x), MixedStrategy(y))
+    value, _, x, y = _tally(game, rows, cols)
     gap = float((A @ y).max() - (x @ A).min())
-    return FictitiousPlayResult(profile, float(np.sum(A[rows, cols]) / iterations), iterations, gap)
+    return FictitiousPlayResult(MixedProfile(MixedStrategy(x), MixedStrategy(y)), value, iterations, gap)
 
 
 def game_value(game: NormalFormGame) -> float:

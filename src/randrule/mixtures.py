@@ -273,14 +273,15 @@ def _weighted_densities(mixture: Mixture, X: np.ndarray) -> np.ndarray:
     Evaluated in the log domain, each column shifted so its largest entry is 1: nothing underflows.
     Class-major, so reductions over classes run along the long axis. Raises
     :class:`UnsupportedEvidenceError` naming the first row with zero density under every
-    class, or whose density is nan (nan evidence).
+    class, or with nan evidence.
     """
     weighted = np.stack([a + c.density.logpdf(X) for a, c in zip(mixture._labels.log_prior, mixture.components)])
     top = weighted.max(axis=0)
     scored = top > -np.inf  # False on nan too
     if not scored.all():
         bad = int(np.argmin(scored))
-        why = "is not a number" if np.isnan(top[bad]) else "has zero density under every class"
+        # an interval's logpdf reads nan evidence as outside its support, so ask the evidence
+        why = "is not a number" if np.isnan(X[bad]).any() else "has zero density under every class"
         raise UnsupportedEvidenceError(f"evidence row {bad} {why}")
     weighted -= top
     return np.exp(weighted, out=weighted)

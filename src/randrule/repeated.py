@@ -6,7 +6,8 @@ counts action frequencies, while an equilibrium mix concedes nothing
 beyond sampling noise. The adversary observes actions only, never the
 opposing policy object. History-free policies (pure and mixed) draw all
 their actions at once; frequency exploiters take the exact best responses
-that fictitious play also takes (see :mod:`randrule.games`).
+that fictitious play also takes (see :mod:`randrule.games`). A match keeps
+its actions only: its mean payoffs are tallied exactly from the cells played.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Union
 import numpy as np
 
 from .errors import InputError, allocation
-from .games import MixedStrategy, NormalFormGame, _best_responses, _check_range, game_value
+from .games import MixedStrategy, NormalFormGame, _best_responses, _check_range, _tally, game_value
 from .rng import generator, inverse_cdf
 
 __all__ = [
@@ -63,12 +64,11 @@ AgentPolicy = Union[PurePolicy, MixedPolicy, FrequencyExploiter]
 
 @dataclass(frozen=True, eq=False)
 class MatchTrace:
-    """Per-round actions and payoffs of one repeated match; a round's payoffs are its (row, col) cell's."""
+    """Per-round actions of one repeated match of ``game``; a round's payoffs are its (row, col) cell's."""
 
     row_actions: np.ndarray
     col_actions: np.ndarray
-    row_payoffs: np.ndarray
-    col_payoffs: np.ndarray
+    game: NormalFormGame
     seed: int
 
     @property
@@ -76,14 +76,12 @@ class MatchTrace:
         return int(self.row_actions.size)
 
     def write_csv(self, path: str | Path) -> None:
-        """One CSV row per round; each (row, col) cell's text is formatted once, at its first round."""
-        row, col = self.row_actions, self.col_actions
-        cell = row * (col.max() + 1) + col
-        keys, first = np.unique(cell, return_index=True)
+        """One CSV row per round; each (row, col) cell that occurs is formatted once, from the game's payoffs."""
+        cols = self.game.col_actions
+        cell = self.row_actions * cols + self.col_actions
+        A, B = self.game.row_payoff.ravel().tolist(), self.game.col_payoff.ravel().tolist()
         # adding 0.0 folds the negative zeros produced by payoff negation
-        texts = {c: f"{i},{j},{p + 0.0!r},{q + 0.0!r}\r\n" for c, i, j, p, q in zip(
-            keys.tolist(), row[first].tolist(), col[first].tolist(),
-            self.row_payoffs[first].tolist(), self.col_payoffs[first].tolist())}
+        texts = {c: f"{c // cols},{c % cols},{A[c] + 0.0!r},{B[c] + 0.0!r}\r\n" for c in np.unique(cell).tolist()}
         try:
             with open(path, "w", newline="") as fh:
                 fh.write("round,row_action,col_action,row_payoff,col_payoff\r\n")
@@ -94,6 +92,8 @@ class MatchTrace:
 
 @dataclass(frozen=True, eq=False)
 class MatchSummary:
+    """Each side's mean payoff, correctly rounded from the exact mean, and action frequencies."""
+
     avg_row_payoff: float
     avg_col_payoff: float
     row_frequencies: np.ndarray
@@ -139,36 +139,23 @@ def _plan(policy: AgentPolicy, n_actions: int, n_opponent: int, side: str, round
     raise InputError(f"unknown policy type {type(policy).__name__}")
 
 
-def run_repeated(
-    game: NormalFormGame,
-    row: AgentPolicy,
-    col: AgentPolicy,
-    rounds: int,
-    seed: int,
-) -> tuple[MatchTrace, MatchSummary]:
+def run_repeated(game: NormalFormGame, row: AgentPolicy, col: AgentPolicy, rounds: int,
+                 seed: int) -> tuple[MatchTrace, MatchSummary]:
     """Play the stage game ``rounds`` times; identical seeds replay identically.
 
     Sub-streams 0 and 1 of ``seed`` give the row and column player one
     uniform per round (a pure policy draws none), so the trace does not
-    depend on what the other player's policy consumes.
+    depend on what the other player's policy consumes. The summary's means are
+    exact, rounded once, for any number of rounds.
     """
     if rounds < 1:
         raise InputError(f"rounds must be >= 1, got {rounds}")
-    _check_range(game, rounds, "rounds")
+    _check_range(game)
     row_actions, row_counts, u_row = _plan(row, game.row_actions, game.col_actions, "row", rounds, generator(seed, 0))
     col_actions, col_counts, u_col = _plan(col, game.col_actions, game.row_actions, "col", rounds, generator(seed, 1))
-    A, B = game.row_payoff, game.col_payoff
     if row_counts is not None or col_counts is not None:
-        _best_responses(A, B, row_counts, col_counts, row_actions, col_actions, u_row, u_col)
-    row_payoffs, col_payoffs = A[row_actions, col_actions], B[row_actions, col_actions]
-    trace = MatchTrace(row_actions, col_actions, row_payoffs, col_payoffs, seed)
-    summary = MatchSummary(
-        avg_row_payoff=float(np.sum(row_payoffs) / rounds),
-        avg_col_payoff=float(np.sum(col_payoffs) / rounds),
-        row_frequencies=np.bincount(row_actions, minlength=game.row_actions) / rounds,
-        col_frequencies=np.bincount(col_actions, minlength=game.col_actions) / rounds,
-    )
-    return trace, summary
+        _best_responses(game.row_payoff, game.col_payoff, row_counts, col_counts, row_actions, col_actions, u_row, u_col)
+    return MatchTrace(row_actions, col_actions, game, seed), MatchSummary(*_tally(game, row_actions, col_actions))
 
 
 def exploitability_report(

@@ -266,6 +266,25 @@ def test_nearest_mean_stays_certain_on_classes_far_apart(monkeypatch):
     assert np.array_equal(nearest, decisions._nearest_mean_kernel(mixture._labels.means, X))
 
 
+def test_nearest_mean_decides_the_far_rows_bayes_decides():
+    # every distance to the far mean overflows, so the kernel measures these rows again, scaled down
+    mixture = gaussian_mixture([[-1e154], [1e154]], 1.0)
+    X = np.array([[1e154], [-1e154], [3e153], [-1e153]])
+    assert bayes_classifier(mixture, ZERO_ONE).decide_batch(X).tolist() == [1, 0, 1, 0]
+    assert nearest_mean_classifier(mixture).decide_batch(X).tolist() == [1, 0, 1, 0]
+
+
+@PROPERTY
+@given(st.integers(0, 2**32), st.integers(1, 6), st.integers(2, 5), st.integers(480, 1015))
+def test_nearest_mean_on_scaled_up_evidence_decides_as_unscaled(seed, d, k, e):
+    # small integers have exact distances and scaling by 2**e is exact, so only the overflow differs
+    rng = np.random.default_rng(seed)
+    means = rng.integers(-4, 5, size=(k, d)).astype(float)
+    X = rng.integers(-6, 7, size=(50, d)).astype(float)
+    nearest = nearest_mean_classifier(gaussian_mixture(means * 2.0**e, 1.0)).decide_batch(X * 2.0**e)
+    assert np.array_equal(nearest, decisions._nearest_mean_kernel(means, X))
+
+
 @pytest.mark.parametrize("lam", [2.0**-210, 2.0**210])
 def test_nearest_mean_outside_the_lambda_range_takes_the_kernel(monkeypatch, lam):
     means = np.array([[0.0, 0.0], [2.0, 1.0], [-1.0, 3.0]]) * math.sqrt(lam)

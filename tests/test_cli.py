@@ -3,6 +3,7 @@ import io
 import json
 import math
 import time
+from pathlib import Path
 
 import pytest
 
@@ -588,7 +589,7 @@ class TestReport:
     )
     def test_a_record_that_would_make_a_broken_file_is_refused(self, capsys, survey_file, tmp_path, row, message):
         data = tmp_path / "survey.csv"
-        data.write_text(open(survey_file).read() + row + "\n")
+        data.write_text(Path(survey_file).read_text() + row + "\n")
         out_dir = tmp_path / "report"
         code, out, err = run(capsys, "report", "--data", str(data), "--out-dir", str(out_dir))
         assert (code, out) == (2, "")
@@ -661,30 +662,48 @@ def test_flags_a_subcommand_does_not_read_are_refused(capsys, survey_file, tmp_p
     assert f"unrecognized arguments: {' '.join(flag)}" in err
 
 
-# 2**1013 * (1020 rounds + 4 actions) = 2**1023: the smallest score bound that is refused
+# 2**1013 * (1020 rounds + 4 actions) = 2**1023 was the smallest payoff bound refused while the means were
+# float sums over the rounds; the means are exact now, and only a payoff gap past the doubles is refused
 EDGE_PAYOFF, EDGE_ROUNDS = 2.0**1013, "1020"
-
-
-@pytest.mark.parametrize(
+PAYOFF_ARGV = pytest.mark.parametrize(
     "argv",
     [
-        ["solve-game", "--method", "fp", "--iters", EDGE_ROUNDS],
-        ["simulate-repeated", "--row", "pure:0", "--col", "exploiter", "--rounds", EDGE_ROUNDS],
-        ["simulate-repeated", "--row", "mixed:0.5,0.5", "--col", "mixed:0.5,0.5", "--rounds", EDGE_ROUNDS],
+        ["solve-game", "--method", "fp", "--iters"],
+        ["simulate-repeated", "--row", "pure:0", "--col", "exploiter", "--rounds"],
+        ["simulate-repeated", "--row", "mixed:0.5,0.5", "--col", "mixed:0.5,0.5", "--rounds"],
     ],
     ids=["fp", "pure-vs-exploiter", "mixed-vs-mixed"],
 )
-def test_payoffs_whose_sums_could_overflow_are_refused(capsys, argv):
-    def game(p):
-        return json.dumps({"row_payoff": [[p, -p], [-p, p]], "zero_sum": True})
 
-    for payoff in (1e308, EDGE_PAYOFF):
-        code, out, err = run(capsys, *argv, "--game", game(payoff))
+
+def pennies_times(p):
+    return json.dumps({"row_payoff": [[p, -p], [-p, p]], "zero_sum": True})
+
+
+@PAYOFF_ARGV
+def test_payoffs_whose_gaps_could_overflow_are_refused(capsys, argv):
+    for payoff in (1e308, 2.0**1023):
+        code, out, err = run(capsys, *argv, EDGE_ROUNDS, "--game", pennies_times(payoff))
         assert (code, out) == (2, "")
-        assert f"payoff magnitude {payoff:g} over {EDGE_ROUNDS} " in err
-    code, out, err = run(capsys, *argv, "--game", game(math.nextafter(EDGE_PAYOFF, 0.0)))
+        assert f"payoff magnitude {payoff:g} could overflow" in err
+    for payoff in (EDGE_PAYOFF, math.nextafter(2.0**1023, 0.0)):
+        code, out, err = run(capsys, *argv, EDGE_ROUNDS, "--game", pennies_times(payoff))
+        assert (code, err) == (0, "")
+        assert "inf" not in out and "nan" not in out
+
+
+@PAYOFF_ARGV
+def test_matching_pennies_times_1e305_over_1e4_rounds_has_finite_averages(capsys, argv):
+    # the payoffs +-1 scale exactly, so the actions and each printed average are 1e305 times the unscaled ones
+    code, out, err = run(capsys, *argv, "10000", "--game", pennies_times(1e305))
     assert (code, err) == (0, "")
     assert "inf" not in out and "nan" not in out
+    unscaled = dict(line.split(None, 1) for line in run(capsys, *argv, "10000", "--game", "mp")[1].splitlines())
+    for field, text in (line.split(None, 1) for line in out.splitlines()):
+        if field in ("value", "avg_row_payoff", "avg_col_payoff"):
+            assert float(text) == pytest.approx(1e305 * float(unscaled[field]), rel=1e-5)
+        else:
+            assert text == unscaled[field]
 
 
 # numpy refuses arrays this long before it allocates anything

@@ -9,6 +9,7 @@ from randrule import (
     CostMatrix,
     DeterministicClassifier,
     InputError,
+    IsotropicGaussian,
     Mixture,
     RandomizedClassifier,
     UniformInterval,
@@ -563,7 +564,7 @@ class TestExactClassifierCost:
 
 
 GAUSS_2 = gaussian_mixture([[0.0], [1.0]], 1.0)
-# the product path sends these rows to the kernel; 1e200 overflows every squared distance
+# the product path sends these rows to the kernel; 1e200 has zero density under either class
 NOT_A_NUMBER = "is not a number"
 NO_DENSITY = "has zero density under every class"
 NO_DISTANCE = "has a distance to a mean that is not finite"
@@ -597,8 +598,23 @@ class TestNonFiniteEvidence:
         self.refuse(rule.decide_batch, ((np.nan, NOT_A_NUMBER), (np.inf, NO_DENSITY), (-1e200, NO_DENSITY)))
 
     def test_nearest_mean_classifier(self):
+        # far finite evidence is measured again at a smaller scale and decided
         rule = nearest_mean_classifier(GAUSS_2)
-        self.refuse(rule.decide_batch, ((np.nan, NO_DISTANCE), (np.inf, NO_DISTANCE), (1e200, NO_DISTANCE)))
+        self.refuse(rule.decide_batch, ((np.nan, NO_DISTANCE), (np.inf, NO_DISTANCE), (-np.inf, NO_DISTANCE)))
+        assert rule.decide_batch(np.array([[0.3], [-1e200]])).tolist() == [0, 0]
+
+    @pytest.mark.parametrize("mixture", [
+        overlap(),
+        Mixture([ClassComponent(0.5, UniformInterval(0.0, 1.0)), ClassComponent(0.5, IsotropicGaussian([0.5], 1.0))]),
+    ], ids=["interval", "interval-and-gaussian"])
+    def test_interval_mixtures_word_nan_evidence_as_gaussians_do(self, mixture):
+        bayes = (np.nan, NOT_A_NUMBER), (np.inf, NO_DENSITY)
+        self.refuse(bayes_classifier(mixture, ZERO_ONE).decide_batch, bayes)
+        self.refuse(randomized_bayes_classifier(mixture, ZERO_ONE).distributions, bayes)
+        self.refuse(two_class_likelihood_rule(mixture, ZERO_ONE).decide_batch, bayes)
+        self.refuse(lambda X: mixtures.posterior_matrix(mixture, X), bayes)
+        with pytest.raises(UnsupportedEvidenceError, match=f"^evidence row 0 {NOT_A_NUMBER}$"):
+            bayes_decide(mixture, ZERO_ONE, [np.nan])
 
     def test_posterior(self):
         self.refuse(lambda X: mixtures.posterior_matrix(GAUSS_2, X), ((np.nan, NOT_A_NUMBER), (1e200, NO_DENSITY)))

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import tempfile
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -737,6 +738,12 @@ def record_csv(game, actions) -> bytes:
     return buf.getvalue().encode()
 
 
+def exact_mean(M, actions) -> float:
+    """The mean of the per-round payoffs ``M[i_t, j_t]`` as a :class:`fractions.Fraction`, rounded once."""
+    payoffs = Counter(M[actions[0], actions[1]].tolist())
+    return float(sum(Fraction(v) * c for v, c in payoffs.items()) / actions.shape[1])
+
+
 def incremental_fp(game, iterations, tie_seed):
     """The fictitious-play loop with running exact score sums that the shared routes replaced; returns
     the action counts and the exact average payoff."""
@@ -760,8 +767,8 @@ def incremental_fp(game, iterations, tie_seed):
 @st.composite
 def small_games(draw, kinds=("integer", "integer-general-sum", "one-decimal", "general-sum")):
     """2-4 actions a side: integer payoffs in {-1, 0, 1} (many exact score ties) or {-5..5}, zero-sum or
-    general-sum, one-decimal payoffs (whose float score sums would round) or general-sum one-decimal
-    payoffs."""
+    general-sum, one-decimal payoffs (whose float score sums would round), general-sum one-decimal
+    payoffs, or zero-sum eighths ("dyadic") or standard normal ("gaussian") payoffs."""
     shape = draw(st.integers(2, 4)), draw(st.integers(2, 4))
     kind = draw(st.sampled_from(kinds))
     rng = np.random.default_rng(draw(st.integers(0, 2**32)))
@@ -773,6 +780,10 @@ def small_games(draw, kinds=("integer", "integer-general-sum", "one-decimal", "g
         return NormalFormGame(A, B)
     if kind == "one-decimal":
         A = rng.integers(-30, 31, size=shape) / 10
+    if kind == "dyadic":
+        A = rng.integers(-40, 41, size=shape) / 8
+    if kind == "gaussian":
+        A = rng.normal(size=shape)
     if kind == "general-sum":
         return NormalFormGame(A, rng.integers(-30, 31, size=shape) / 10)
     return zero_sum_game(A)
@@ -802,6 +813,8 @@ def assert_replays_the_agent_loop(game, row, col, rounds, seed):
     expected = agent_loop(game, row, col, rounds, seed)
     assert np.array_equal(trace.row_actions, expected[0])
     assert np.array_equal(trace.col_actions, expected[1])
+    assert summary.avg_row_payoff.hex() == exact_mean(game.row_payoff, expected).hex()
+    assert summary.avg_col_payoff.hex() == exact_mean(game.col_payoff, expected).hex()
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "trace.csv"
         trace.write_csv(path)
@@ -820,6 +833,16 @@ def test_long_repeated_play_replays_the_agent_loop(match):
     game, row, col, rounds, seed = match
     assume(FrequencyExploiter() in (row, col))
     assert_replays_the_agent_loop(*match)
+
+
+@PROPERTY
+@given(matches(stage_games=small_games(kinds=("one-decimal", "dyadic", "gaussian", "general-sum"))))
+def test_mean_payoffs_are_the_exact_means_rounded_once(match):
+    # a float sum of these payoffs rounds, so a mean taken from it can miss the correctly rounded one
+    game, row, col, rounds, seed = match
+    assert_replays_the_agent_loop(*match)
+    if game.zero_sum:
+        assert_fp_replays_the_incremental_loop(game, rounds, seed)
 
 
 @PROPERTY
@@ -872,17 +895,20 @@ def test_scores_past_int64_take_python_ints(rounds):
     # 2**52 * (2042 rounds + 6 actions) = 2**63, the smallest score bound that int64 cannot hold
     game = zero_sum_game([[0, -2**52, 1], [2**52, 0, -1], [-1, 1, 0]])
     dtype = np.dtype(np.int64) if rounds < 2042 else np.dtype(object)
-    made = []
+    made = {}
 
     def integers(M, length, original=games._integers):
-        made.append(original(M, length))
-        return made[-1]
+        N, g, den = original(M, length)
+        made.setdefault(length, []).append(N.dtype)
+        return N, g, den
 
     with mock.patch.object(games, "_integers", integers):
         assert_replays_the_agent_loop(game, PurePolicy(0), FrequencyExploiter(), rounds, seed=5)
         assert_replays_the_agent_loop(game, FrequencyExploiter(), FrequencyExploiter(), rounds, seed=5)
         assert_fp_replays_the_incremental_loop(game, rounds, 5)
-    assert [M.dtype for M in made] == [dtype] * 5
+    # the scores take rounds + 6 as their length, the tallies of both sides' means the rounds:
+    # 2**52 * 2042 < 2**63, so every tally sums in int64
+    assert made == {rounds + 6: [dtype] * 5, rounds: [np.dtype(np.int64)] * 6}
 
 
 def assert_fp_replays_the_incremental_loop(game, iterations, tie_seed):
@@ -890,14 +916,7 @@ def assert_fp_replays_the_incremental_loop(game, iterations, tie_seed):
     row_counts, col_counts, value = incremental_fp(game, iterations, tie_seed)
     assert np.array_equal(result.profile.row.probs, row_counts / iterations)
     assert np.array_equal(result.profile.col.probs, col_counts / iterations)
-    A = game.row_payoff
-    top = float(np.abs(A).max())
-    if np.array_equal(A, np.trunc(A)) and top * iterations < 2**53:
-        # every partial payoff sum is exact, so the one rounding is the division
-        assert result.value_estimate.hex() == float(value).hex()
-    else:
-        # any summation order of the payoffs, then the division
-        assert abs(result.value_estimate - float(value)) <= iterations * 2**-52 * top
+    assert result.value_estimate.hex() == float(value).hex()
 
 
 @PROPERTY
@@ -956,3 +975,5 @@ def test_one_decimal_rps_fictitious_play_plays_as_rps():
     assert np.array_equal(scaled.profile.row.probs, rps.profile.row.probs)
     assert np.array_equal(scaled.profile.col.probs, rps.profile.col.probs)
     assert_fp_replays_the_incremental_loop(game, 20_000, 5)
+    # a float sum of the per-round payoffs gave 0x1.797cc39ffd602p-13
+    assert scaled.value_estimate.hex() == "0x1.797cc39ffd60fp-13"

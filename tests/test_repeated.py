@@ -1,4 +1,6 @@
 import csv
+from collections import Counter
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,6 +12,7 @@ from randrule import (
     InputError,
     MixedPolicy,
     MixedStrategy,
+    NormalFormGame,
     PurePolicy,
     build_harm_game,
     build_matching_pennies,
@@ -62,14 +65,27 @@ class TestDeterminism:
 
 
 class TestBookkeeping:
-    def test_payoffs_are_matrix_lookups(self):
-        g = build_rock_paper_scissors()
-        trace, _ = run_repeated(g, mixed(0.2, 0.5, 0.3), mixed(0.6, 0.2, 0.2), 300, seed=4)
-        assert trace.rounds == 300
-        for t in range(0, 300, 37):
-            i, j = trace.row_actions[t], trace.col_actions[t]
-            assert trace.row_payoffs[t] == g.row_payoff[i, j]
-            assert trace.col_payoffs[t] == g.col_payoff[i, j]
+    def test_payoffs_are_matrix_lookups(self, tmp_path):
+        g = NormalFormGame([[0.1, -2.5, 3.0], [1.5, 0.0, -0.7]], [[-0.3, 2.0, 0.5], [0.0, -1.25, 4.0]])
+        trace, _ = run_repeated(g, mixed(0.4, 0.6), mixed(0.6, 0.2, 0.2), 300, seed=4)
+        path = tmp_path / "trace.csv"
+        trace.write_csv(path)
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert trace.rounds == len(rows) == 300
+        for t, r in enumerate(rows):
+            i, j = int(r["row_action"]), int(r["col_action"])
+            assert (int(r["round"]), i, j) == (t, trace.row_actions[t], trace.col_actions[t])
+            assert (float(r["row_payoff"]), float(r["col_payoff"])) == (g.row_payoff[i, j], g.col_payoff[i, j])
+
+    def test_mixed_matches_on_one_decimal_payoffs_average_exactly(self):
+        # a float sum of these per-round payoffs missed the correctly rounded mean on 8 of the 20 seeds
+        g = zero_sum_game(build_rock_paper_scissors().row_payoff * 0.1)
+        for seed in range(20):
+            trace, summary = run_repeated(g, mixed(0.2, 0.5, 0.3), mixed(0.6, 0.2, 0.2), 20_000, seed=seed)
+            cells = Counter(zip(trace.row_actions.tolist(), trace.col_actions.tolist()))
+            mean = sum(Fraction(g.row_payoff[i, j]) * c for (i, j), c in cells.items()) / 20_000
+            assert (summary.avg_row_payoff, summary.avg_col_payoff) == (float(mean), float(-mean))
 
     def test_zero_sum_averages_cancel_exactly(self):
         g = build_matching_pennies()
