@@ -163,12 +163,14 @@ class ZeroSumSolution:
 
 @dataclass(frozen=True, eq=False)
 class FictitiousPlayResult:
-    """Empirical profile, correctly rounded average payoff and the profile's duality gap ``max(A y) - min(x A)``."""
+    """Empirical profile, correctly rounded average payoff, the profile's duality gap ``max(A y) - min(x A)``
+    and the number of constant-action passes the best responses took."""
 
     profile: MixedProfile
     value_estimate: float
     iterations: int
     duality_gap: float
+    passes: int
 
 
 def build_matching_pennies() -> NormalFormGame:
@@ -290,8 +292,12 @@ def is_nash(game: NormalFormGame, profile: MixedProfile, tol: float = NASH_TOL) 
 
 
 def _pick(scores: list[int], u: float) -> int:
-    """Index of the maximal score; exact ties resolved by the uniform ``u``."""
+    """Index of the maximal score; exact ties resolved by the uniform ``u``.
+
+    A unique maximum is returned at once; only a tie builds the list of tied indices and reads ``u``."""
     best = max(scores)
+    if scores.count(best) == 1:
+        return scores.index(best)
     ties = [k for k, s in enumerate(scores) if s == best]
     return ties[int(u * len(ties))]
 
@@ -347,20 +353,33 @@ def _run(scores: list[int], lead: int, slopes: list[int], limit: int) -> int:
     return limit
 
 
-def _jump(A, BT, row_counts, col_counts, row_actions, col_actions, u_row, u_col) -> None:
-    """Both sides count: pick once per pass, then repeat that pair until a score crossing."""
+def _jump(A, BT, row_counts, col_counts, row_actions, col_actions, u_row, u_col) -> int:
+    """Both sides count: pick once per pass, then repeat that pair until a score crossing; returns the passes.
+
+    The scores are Python-int lists, and a pass of ``run`` rounds adds ``run`` times the opponent's
+    payoff column to them. Each pass's ``i``, ``j`` and ``run`` are appended to three lists, and the
+    action arrays and the counts are filled once at the end, by ``np.repeat`` and ``np.bincount``.
+    """
     rounds = row_actions.size
     A_cols, BT_cols = A.T.tolist(), BT.T.tolist()
+    R, C = (A @ row_counts).tolist(), (BT @ col_counts).tolist()
+    rows, cols, runs = [], [], []
     t = 0
     while t < rounds:
-        R, C = (A @ row_counts).tolist(), (BT @ col_counts).tolist()
         i, j = _pick(R, u_row[t]), _pick(C, u_col[t])
-        run = _run(C, j, BT_cols[i], _run(R, i, A_cols[j], rounds - t))
-        row_actions[t : t + run] = i
-        col_actions[t : t + run] = j
-        row_counts[j] += run
-        col_counts[i] += run
+        a, b = A_cols[j], BT_cols[i]
+        run = _run(C, j, b, _run(R, i, a, rounds - t))
+        R = [s + run * v for s, v in zip(R, a)]
+        C = [s + run * v for s, v in zip(C, b)]
+        rows.append(i)
+        cols.append(j)
+        runs.append(run)
         t += run
+    row_actions[:] = np.repeat(rows, runs)
+    col_actions[:] = np.repeat(cols, runs)
+    row_counts += np.bincount(col_actions, minlength=row_counts.size)
+    col_counts += np.bincount(row_actions, minlength=col_counts.size)
+    return len(runs)
 
 
 _BLOCK_ROUNDS = 1 << 12
@@ -385,23 +404,25 @@ def _score_blocks(MT, counts, opp, out, u) -> None:
     counts += np.bincount(opp, minlength=counts.size)
 
 
-def _best_responses(A, B, row_counts, col_counts, row_actions, col_actions, u_row, u_col) -> None:
-    """Fill in the actions of each side that best-responds to counts, with one tie rule.
+def _best_responses(A, B, row_counts, col_counts, row_actions, col_actions, u_row, u_col) -> int:
+    """Fill in the actions of each side that best-responds to counts, with one tie rule; returns :func:`_jump`'s passes.
 
     ``row_counts`` holds the row side's counts of column actions, ``col_counts`` the column
     side's counts of row actions. Each round a counting side plays ``_pick(A @ row_counts, u_row[t])``
     or ``_pick(B.T @ col_counts, u_col[t])`` on exact scores; then both sides' counts take in the
     opponent's action. A side passed ``None`` keeps the actions already in its array. Each side
     scores on its payoffs as coprime integers (:func:`_integers`), which keeps every order and
-    tie: :func:`_jump` serves two counting sides, :func:`_score_blocks` one.
+    tie: :func:`_jump` serves two counting sides, :func:`_score_blocks` one (0 passes).
     """
     length = row_actions.size + sum(A.shape)
     if row_counts is None:
-        return _score_blocks(_integers(B, length)[0], col_counts, row_actions, col_actions, u_col)
-    if col_counts is None:
-        return _score_blocks(_integers(A.T, length)[0], row_counts, col_actions, row_actions, u_row)
-    _jump(_integers(A, length)[0], _integers(B.T, length)[0], row_counts, col_counts,
-          row_actions, col_actions, u_row, u_col)
+        _score_blocks(_integers(B, length)[0], col_counts, row_actions, col_actions, u_col)
+    elif col_counts is None:
+        _score_blocks(_integers(A.T, length)[0], row_counts, col_actions, row_actions, u_row)
+    else:
+        return _jump(_integers(A, length)[0], _integers(B.T, length)[0], row_counts, col_counts,
+                     row_actions, col_actions, u_row, u_col)
+    return 0
 
 
 def fictitious_play(game: NormalFormGame, iterations: int, tie_seed: int = 0) -> FictitiousPlayResult:
@@ -424,11 +445,11 @@ def fictitious_play(game: NormalFormGame, iterations: int, tie_seed: int = 0) ->
     with allocation(iterations, "iterations"):
         ties = generator(tie_seed).random(2 * iterations)
         rows, cols = np.empty((2, iterations), dtype=np.int64)
-    _best_responses(A, game.col_payoff, np.ones(game.col_actions, dtype=np.int64),
-                    np.ones(game.row_actions, dtype=np.int64), rows, cols, ties[0::2], ties[1::2])
+    passes = _best_responses(A, game.col_payoff, np.ones(game.col_actions, dtype=np.int64),
+                             np.ones(game.row_actions, dtype=np.int64), rows, cols, ties[0::2], ties[1::2])
     value, _, x, y = _tally(game, rows, cols)
     gap = float((A @ y).max() - (x @ A).min())
-    return FictitiousPlayResult(MixedProfile(MixedStrategy(x), MixedStrategy(y)), value, iterations, gap)
+    return FictitiousPlayResult(MixedProfile(MixedStrategy(x), MixedStrategy(y)), value, iterations, gap, passes)
 
 
 def game_value(game: NormalFormGame) -> float:

@@ -61,6 +61,8 @@ class FrequencyExploiter:
 
 AgentPolicy = Union[PurePolicy, MixedPolicy, FrequencyExploiter]
 
+_CSV_BLOCK = 2048
+
 
 @dataclass(frozen=True, eq=False)
 class MatchTrace:
@@ -76,28 +78,56 @@ class MatchTrace:
         return int(self.row_actions.size)
 
     def write_csv(self, path: str | Path) -> None:
-        """One CSV row per round; each (row, col) cell that occurs is formatted once, from the game's payoffs."""
-        cols = self.game.col_actions
-        cell = self.row_actions * cols + self.col_actions
+        """One CSV row per round, built and written ``_CSV_BLOCK`` rounds at a time.
+
+        A block is one ``uint8`` matrix with a row per round: the round's digits right-aligned in
+        ``len(str(rounds - 1))`` columns, then the text of its (row, col) cell from a byte table of
+        the block's cells. Each cell's text is formatted once per trace, from the game's payoffs.
+        Both parts pad with NUL bytes, the digits on the left and the cell texts on the right, so
+        the mask ``block != 0`` keeps each row's own bytes, in order.
+        """
+        n, cols = self.rounds, self.game.col_actions
         A, B = self.game.row_payoff.ravel().tolist(), self.game.col_payoff.ravel().tolist()
-        # adding 0.0 folds the negative zeros produced by payoff negation
-        texts = {c: f"{c // cols},{c % cols},{A[c] + 0.0!r},{B[c] + 0.0!r}\r\n" for c in np.unique(cell).tolist()}
+        width = len(str(max(n - 1, 0)))
+        texts: dict[int, bytes] = {}
         try:
-            with open(path, "w", newline="") as fh:
-                fh.write("round,row_action,col_action,row_payoff,col_payoff\r\n")
-                fh.writelines(f"{t},{texts[c]}" for t, c in enumerate(cell.tolist()))
+            with open(path, "wb") as fh:
+                fh.write(b"round,row_action,col_action,row_payoff,col_payoff\r\n")
+                for b in range(0, n, _CSV_BLOCK):
+                    cell = self.row_actions[b : b + _CSV_BLOCK] * cols + self.col_actions[b : b + _CSV_BLOCK]
+                    codes, which = np.unique(cell, return_inverse=True)
+                    lines = []
+                    for c in codes.tolist():
+                        if c not in texts:
+                            # adding 0.0 folds the negative zeros produced by payoff negation
+                            texts[c] = f",{c // cols},{c % cols},{A[c] + 0.0!r},{B[c] + 0.0!r}\r\n".encode()
+                        lines.append(texts[c])
+                    size = max(map(len, lines))
+                    table = np.frombuffer(b"".join(line.ljust(size, b"\0") for line in lines), np.uint8)
+                    block = np.empty((cell.size, width + size), dtype=np.uint8)
+                    t = np.arange(b, b + cell.size)
+                    for k in reversed(range(width)):
+                        t, digit = np.divmod(t, 10)
+                        block[:, k] = digit + ord("0")
+                    # the rounds below 10**e, the first rows of their block, have no digit for 10**e
+                    for e in range(1, width):
+                        block[: max(10**e - b, 0), width - 1 - e] = 0
+                    block[:, width:] = table.reshape(-1, size)[which]
+                    fh.write(block[block != 0])
         except OSError as exc:
             raise InputError(f"cannot write trace file {path}: {exc}") from exc
 
 
 @dataclass(frozen=True, eq=False)
 class MatchSummary:
-    """Each side's mean payoff, correctly rounded from the exact mean, and action frequencies."""
+    """Each side's mean payoff, correctly rounded from the exact mean, action frequencies, and the
+    number of constant-action passes of two counting sides (0 when at most one side counts)."""
 
     avg_row_payoff: float
     avg_col_payoff: float
     row_frequencies: np.ndarray
     col_frequencies: np.ndarray
+    passes: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,9 +183,11 @@ def run_repeated(game: NormalFormGame, row: AgentPolicy, col: AgentPolicy, round
     _check_range(game)
     row_actions, row_counts, u_row = _plan(row, game.row_actions, game.col_actions, "row", rounds, generator(seed, 0))
     col_actions, col_counts, u_col = _plan(col, game.col_actions, game.row_actions, "col", rounds, generator(seed, 1))
+    passes = 0
     if row_counts is not None or col_counts is not None:
-        _best_responses(game.row_payoff, game.col_payoff, row_counts, col_counts, row_actions, col_actions, u_row, u_col)
-    return MatchTrace(row_actions, col_actions, game, seed), MatchSummary(*_tally(game, row_actions, col_actions))
+        passes = _best_responses(game.row_payoff, game.col_payoff, row_counts, col_counts,
+                                 row_actions, col_actions, u_row, u_col)
+    return MatchTrace(row_actions, col_actions, game, seed), MatchSummary(*_tally(game, row_actions, col_actions), passes)
 
 
 def exploitability_report(

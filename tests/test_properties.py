@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from randrule import (
     ClassComponent,
@@ -23,6 +23,7 @@ from randrule import (
     HarmScenario,
     InputError,
     IsotropicGaussian,
+    MatchTrace,
     MixedPolicy,
     MixedStrategy,
     Mixture,
@@ -52,7 +53,7 @@ from randrule import (
     solve_zero_sum,
     zero_sum_game,
 )
-from randrule import games, survey
+from randrule import games, repeated, survey
 from randrule.cli import main
 from randrule.rng import generator, inverse_cdf
 from randrule.survey import CSV_HEADER
@@ -827,8 +828,17 @@ def test_repeated_play_replays_the_agent_loop(match):
     assert_replays_the_agent_loop(*match)
 
 
+# every score ties every round on the zero games; the first two rows of TWIN_ROWS tie forever
+ZERO_2X2, ZERO_3X3 = zero_sum_game(np.zeros((2, 2))), zero_sum_game(np.zeros((3, 3)))
+TWIN_ROWS = zero_sum_game([[1, -1, 0], [1, -1, 0], [-1, 1, 2]])
+
+
 @settings(derandomize=True, max_examples=25, deadline=None)
 @given(matches(max_rounds=10_000))
+@example((ZERO_2X2, FrequencyExploiter(), FrequencyExploiter(), 10_000, 1))
+@example((ZERO_3X3, FrequencyExploiter(), FrequencyExploiter(), 10_000, 2))
+@example((TWIN_ROWS, FrequencyExploiter(), FrequencyExploiter(), 10_000, 3))
+@example((TWIN_ROWS, FrequencyExploiter(), MixedPolicy(MixedStrategy(np.full(3, 1 / 3))), 10_000, 4))
 def test_long_repeated_play_replays_the_agent_loop(match):
     game, row, col, rounds, seed = match
     assume(FrequencyExploiter() in (row, col))
@@ -866,6 +876,60 @@ INTEGER_GENERAL_SUM = NormalFormGame([[3, -5, 0], [-2, 4, 1]], [[-1, 2, 5], [0, 
 ], ids=["pure-exploiter", "mixed-exploiter", "exploiter-mixed", "exploiter-exploiter"])
 def test_matches_across_the_block_boundary_replay_the_agent_loop(game, row, col, rounds):
     assert_replays_the_agent_loop(game, row, col, rounds, seed=rounds)
+
+
+def assert_writes_the_records(game, actions, tmp_path):
+    path = tmp_path / "trace.csv"
+    MatchTrace(actions[0], actions[1], game, seed=0).write_csv(path)
+    assert path.read_bytes() == record_csv(game, actions)
+
+
+def random_actions(game, rounds, seed):
+    rng = np.random.default_rng(seed)
+    return np.array([rng.integers(game.row_actions, size=rounds), rng.integers(game.col_actions, size=rounds)])
+
+
+@pytest.mark.parametrize("rounds", [0, 1, 9, 10, 99, 100, 9999, 10_000, 10_001, 100_001,
+                                    repeated._CSV_BLOCK - 1, repeated._CSV_BLOCK, repeated._CSV_BLOCK + 1])
+def test_trace_csv_at_digit_and_block_edges_writes_the_records(rounds, tmp_path):
+    # 0 rounds writes the header alone
+    assert_writes_the_records(RPS, random_actions(RPS, rounds, rounds), tmp_path)
+
+
+def test_trace_csv_of_a_40x40_game_writes_the_records(tmp_path):
+    game = zero_sum_game(np.random.default_rng(40).integers(-9, 10, size=(40, 40)) / 4)
+    actions = random_actions(game, 20_000, 40)
+    assert np.unique(actions[0] * 40 + actions[1]).size > 1500
+    assert_writes_the_records(game, actions, tmp_path)
+
+
+@pytest.mark.parametrize("game", [
+    zero_sum_game([[0.0, 2.5e-310], [1e300, 1 / 3]]),
+    NormalFormGame([[-0.0, 5e-324], [-1e300, 0.1]], [[1 / 3, -0.0], [2.5e-310, 1e300]]),
+], ids=["zero-sum", "general-sum"])
+def test_trace_csv_of_edge_payoffs_writes_the_records(game, tmp_path):
+    # negative zeros, subnormals, a 1e300 and a repeating binary fraction
+    assert_writes_the_records(game, random_actions(game, 5_000, 3), tmp_path)
+
+
+def test_passes_count_the_jump_passes(monkeypatch):
+    calls = []
+
+    def run(*args, original=games._run):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(games, "_run", run)
+    fp = fictitious_play(RPS, 20_000, 9)
+    # one _run call per side and pass
+    assert 0 < fp.passes < 20_000 // 10 and 2 * fp.passes == len(calls)
+    calls.clear()
+    _, mutual = run_repeated(INTEGER_GENERAL_SUM, FrequencyExploiter(), FrequencyExploiter(), 5_000, 3)
+    assert mutual.passes > 0 and 2 * mutual.passes == len(calls)
+    calls.clear()
+    _, one_side = run_repeated(RPS, PurePolicy(0), FrequencyExploiter(), 5_000, 3)
+    _, no_side = run_repeated(RPS, PurePolicy(0), UNIFORM_RPS, 5_000, 3)
+    assert one_side.passes == no_side.passes == 0 and not calls
 
 
 @pytest.mark.parametrize("scale", [0.1, 2.0**50], ids=["one-decimal", "past-2**53"])
@@ -933,6 +997,9 @@ def test_fictitious_play_replays_the_incremental_loop_on_one_decimal_payoffs(gam
 
 @settings(derandomize=True, max_examples=25, deadline=None)
 @given(small_games(kinds=("integer", "one-decimal")), st.integers(1, 10_000), st.integers(0, 2**64 - 1))
+@example(ZERO_2X2, 10_000, 5)
+@example(ZERO_3X3, 10_000, 6)
+@example(TWIN_ROWS, 10_000, 7)
 def test_long_fictitious_play_replays_the_incremental_loop(game, iterations, tie_seed):
     assert_fp_replays_the_incremental_loop(game, iterations, tie_seed)
 

@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
@@ -129,6 +130,17 @@ class TestBookkeeping:
             assert (int(rnd), i, j) == (t, trace.row_actions[t], trace.col_actions[t])
             assert float(row_payoff) == g.row_payoff[i, j]
             assert float(col_payoff) == g.col_payoff[i, j]
+
+    def test_trace_csv_memory_does_not_grow_with_the_rounds(self, tmp_path):
+        trace, _ = run_repeated(build_rock_paper_scissors(), PurePolicy(0), FrequencyExploiter(), 100_000, seed=2)
+        tracemalloc.start()
+        try:
+            trace.write_csv(tmp_path / "trace.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one block of rounds at a time; a byte matrix of all 1e5 rounds alone takes about 2 MB
+        assert peak < 2**20
 
 
 class TestExploitation:
