@@ -2,8 +2,10 @@
 
 Subcommands: ``classify-demo``, ``solve-game``, ``simulate-repeated``,
 ``mwu``, ``compare``, ``report``. Exit codes: 0 success, 2 invalid input,
-1 internal error. ``--format csv`` swaps the aligned text tables for CSV on
-stdout.
+1 internal error. On stdout each subcommand prints one table, after
+``report``'s ``wrote``/``note:`` lines; ``--format csv`` swaps the aligned
+text table for CSV. In table format a table with no rows is left out; the
+CSV always has its header.
 """
 
 from __future__ import annotations
@@ -46,16 +48,23 @@ from .survey import compare_groups, load_survey_csv
 __all__ = ["main"]
 
 
-def _emit(headers: list[str], rows: list[list[str]], fmt: str) -> None:
+# what a subcommand prints: its leading lines, then one table (headers, rows)
+Output = tuple[list[str], list[str], list[list[str]]]
+
+
+def _emit(output: Output, fmt: str) -> None:
+    """Write a subcommand's output; in table format a table with no rows is left out, the CSV always has its header."""
+    lines, headers, rows = output
+    for line in lines:
+        print(line)
     if fmt == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(headers)
         writer.writerows(rows)
-        return
-    widths = [max(len(h), *(len(r[i]) for r in rows)) if rows else len(h) for i, h in enumerate(headers)]
-    print("  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip())
-    for row in rows:
-        print("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
+    elif rows:
+        widths = [max(len(h), *(len(r[i]) for r in rows)) for i, h in enumerate(headers)]
+        for row in [headers, *rows]:
+            print("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
 
 
 def _num(v: float) -> str:
@@ -95,7 +104,7 @@ def _overlap_geometry(mixture: Mixture) -> tuple[float, float] | None:
     return (a, b) if a >= 0 and b > 0 else None
 
 
-def _cmd_classify_demo(args: argparse.Namespace) -> int:
+def _cmd_classify_demo(args: argparse.Namespace) -> Output:
     mixture = load_mixture(args.mixture)
     cost = _load_cost(args.cost, mixture.label_count)
     geometry = _overlap_geometry(mixture)
@@ -122,12 +131,11 @@ def _cmd_classify_demo(args: argparse.Namespace) -> int:
     elif intervals and (name != "md" or np.array_equal(cost.values, CostMatrix.zero_one(2).values)):
         # md costs the Bayes risk only under 0-1 cost
         analytic = _num(bayes_risk(mixture, cost))
-    _emit(
+    return (
+        [],
         ["classifier", "n", "seed", "mean_cost", "std_error", "analytic"],
         [[clf.name, str(args.n), str(args.seed), _num(estimate.mean_cost), _num(estimate.standard_error), analytic]],
-        args.format,
     )
-    return 0
 
 
 def _parse_game(args: argparse.Namespace):
@@ -147,7 +155,7 @@ def _parse_game(args: argparse.Namespace):
     return load_game(source)
 
 
-def _cmd_solve_game(args: argparse.Namespace) -> int:
+def _cmd_solve_game(args: argparse.Namespace) -> Output:
     game = _parse_game(args)
     if args.method == "exact":
         solution = solve_zero_sum(game)
@@ -161,8 +169,7 @@ def _cmd_solve_game(args: argparse.Namespace) -> int:
         ["value", _num(value)],
         [f"is_nash(tol={tol:g})", str(is_nash(game, profile, tol)).lower()],
     ]
-    _emit(["field", "value"], rows, args.format)
-    return 0
+    return [], ["field", "value"], rows
 
 
 def _parse_policy(text: str):
@@ -176,7 +183,7 @@ def _parse_policy(text: str):
     raise InputError(f"unknown policy {text!r} (expected pure:i|mixed:p1,p2,...|exploiter)")
 
 
-def _cmd_simulate_repeated(args: argparse.Namespace) -> int:
+def _cmd_simulate_repeated(args: argparse.Namespace) -> Output:
     game = _parse_game(args)
     row = _parse_policy(args.row)
     col = _parse_policy(args.col)
@@ -191,8 +198,7 @@ def _cmd_simulate_repeated(args: argparse.Namespace) -> int:
         ["rounds", str(args.rounds)],
         ["seed", str(args.seed)],
     ]
-    _emit(["field", "value"], rows, args.format)
-    return 0
+    return [], ["field", "value"], rows
 
 
 def _parse_values(text: str, flag: str) -> list[float]:
@@ -202,7 +208,7 @@ def _parse_values(text: str, flag: str) -> list[float]:
         raise InputError(f"{flag} expects comma-separated numbers, got {text!r}") from None
 
 
-def _cmd_mwu(args: argparse.Namespace) -> int:
+def _cmd_mwu(args: argparse.Namespace) -> Output:
     result = mann_whitney_u(_parse_values(args.x, "--x"), _parse_values(args.y, "--y"))
     rows = [
         [
@@ -214,8 +220,7 @@ def _cmd_mwu(args: argparse.Namespace) -> int:
             str(result.degenerate).lower(),
         ]
     ]
-    _emit(["u_x", "u_y", "z", "p_two_sided", "tie_corrected", "degenerate"], rows, args.format)
-    return 0
+    return [], ["u_x", "u_y", "z", "p_two_sided", "tie_corrected", "degenerate"], rows
 
 
 def _split_list(text: str | None) -> list[str]:
@@ -224,7 +229,7 @@ def _split_list(text: str | None) -> list[str]:
     return [t.strip() for t in text.split(",") if t.strip()]
 
 
-def _cmd_compare(args: argparse.Namespace) -> int:
+def _cmd_compare(args: argparse.Namespace) -> Output:
     dataset = load_survey_csv(args.data, args.categories)
     groups = _split_list(args.groups)
     if len(groups) != 2:
@@ -232,11 +237,10 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     comp = compare_groups(
         dataset, args.question, groups[0], groups[1], args.alpha, frozenset(_split_list(args.categorical))
     )
-    _emit(CSV_HEADER, [comparison_row(comp)], args.format)
-    return 0
+    return [], CSV_HEADER, [comparison_row(comp)]
 
 
-def _cmd_report(args: argparse.Namespace) -> int:
+def _cmd_report(args: argparse.Namespace) -> Output:
     dataset = load_survey_csv(args.data, args.categories)
     bundle = run_report(
         dataset,
@@ -248,16 +252,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
         neutral_index=args.neutral_index,
         out_dir=args.out_dir,
     )
-    for path in bundle.written_files:
-        print(f"wrote {path}")
-    for rep in bundle.questions:
-        for note in rep.notes:
-            print(f"note: {rep.question}: {note}")
-    rows = [comparison_row(comp) for rep in bundle.questions for comp in rep.comparisons]
-    # the CSV always has its header; the table is left out when nothing was compared
-    if rows or args.format == "csv":
-        _emit(CSV_HEADER, rows, args.format)
-    return 0
+    lines = [f"wrote {path}" for path in bundle.written_files]
+    lines += [f"note: {rep.question}: {note}" for rep in bundle.questions for note in rep.notes]
+    return lines, CSV_HEADER, [comparison_row(comp) for rep in bundle.questions for comp in rep.comparisons]
 
 
 def _seed(text: str) -> int:
@@ -332,7 +329,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        return args.func(args)
+        _emit(args.func(args), args.format)
+        return 0
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

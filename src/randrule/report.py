@@ -69,13 +69,13 @@ def run_report(
     """Build the report bundle; optionally write CSV and SVG files to ``out_dir``.
 
     ``alpha``, the questions and the groups are checked up front, with the
-    messages of :func:`compare_groups`, and so is a category count above
-    ``charts.MAX_CATEGORIES``. Questions in ``categorical`` are
-    charted as grouped bars and excluded from rank testing. Every other
-    question gets a diverging chart plus all pairwise group comparisons at
-    level ``alpha``. Each (question, group) sample is built once, by the
-    dataset, and feeds the low-n notes, the summaries, the rank tests and the
-    chart. Two questions whose chart files would share a name are refused
+    messages of :func:`compare_groups`, and so are a category count above
+    ``charts.MAX_CATEGORIES``, the labels and the neutral index. Questions
+    in ``categorical`` are charted as grouped bars and excluded from rank
+    testing. Every other question gets a diverging chart plus all pairwise
+    group comparisons at level ``alpha``. Each (question, group) sample is
+    built once, by the dataset, and feeds the low-n notes, the summaries, the
+    rank tests and the chart. Two questions whose chart files would share a name are refused
     before any file is written.
     """
     questions = list(questions) if questions is not None else dataset.questions()
@@ -91,6 +91,8 @@ def run_report(
     if len(labels) != k:
         raise InputError(f"got {len(labels)} category labels for {k} categories")
     neutral = neutral_index if neutral_index is not None else (k - 1) // 2
+    if not 0 <= neutral < k:
+        raise InputError(f"neutral index {neutral} out of range for {k} categories")
     if out_dir is not None:
         charted: dict[str, str] = {}  # chart file name -> the first question written there
         for question in questions:

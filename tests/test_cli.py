@@ -605,9 +605,11 @@ class TestReport:
             (["--questions", "nope"], "unknown question 'nope'"),
             (["--questions", "q1,q1"], "question 'q1' is listed more than once"),
             (["--groups", "academics,teachers,academics"], "group 'academics' is listed more than once"),
+            (["--neutral-index", "99"], "neutral index 99 out of range for 5 categories"),
+            (["--categorical", "q1", "--neutral-index", "99"], "neutral index 99 out of range for 5 categories"),
         ],
         ids=["alpha-5", "alpha-negative-categorical", "unknown-group", "unknown-question", "repeated-question",
-             "repeated-group"],
+             "repeated-group", "neutral-index", "neutral-index-categorical"],
     )
     def test_arguments_are_checked_before_any_work(self, capsys, survey_file, tmp_path, argv, message):
         out_dir = tmp_path / "report"

@@ -248,6 +248,60 @@ GOLDEN_STDOUT = {
     ),
 }
 
+# stdout of each subcommand_argvs() call with --format csv appended, masked alike
+GOLDEN_CSV_STDOUT = {
+    "classify-demo": (
+        "classifier,n,seed,mean_cost,std_error,analytic\n"
+        "randomized-bayes,20000,5,0.24555,0.00304355,0.25\n"
+    ),
+    "solve-game": (
+        "field,value\n"
+        "row,0.3286 0.3351 0.3363\n"
+        "col,0.3397 0.3324 0.3279\n"
+        "value,0.0024\n"
+        "is_nash(tol=0.05),true\n"
+    ),
+    "simulate-repeated": (
+        "field,value\n"
+        "avg_row_payoff,-0.295\n"
+        "avg_col_payoff,0.295\n"
+        "row_frequencies,0.208 0.504 0.288\n"
+        "col_frequencies,0.0005 0 0.9995\n"
+        "rounds,2000\n"
+        "seed,9\n"
+    ),
+    "mwu": (
+        "u_x,u_y,z,p_two_sided,tie_corrected,degenerate\n"
+        "7,23,-1.45072,0.146858,true,false\n"
+    ),
+    "compare": (
+        "question,group_a,group_b,u,p,significant\n"
+        "q1,teachers,online,145.5,0.230804,false\n"
+    ),
+    "report": (
+        "wrote <out>/comparisons.csv\n"
+        "wrote <out>/q1.svg\n"
+        "wrote <out>/q2.svg\n"
+        "wrote <out>/q3.svg\n"
+        "wrote <out>/q4.svg\n"
+        "note: q1: low-n: group 'visitors' has 6 response(s) for 'q1'\n"
+        "note: q2: low-n: group 'visitors' has 5 response(s) for 'q2'\n"
+        "note: q3: low-n: group 'visitors' has 5 response(s) for 'q3'\n"
+        "note: q4: low-n: group 'visitors' has 4 response(s) for 'q4'\n"
+        "note: q4: categorical options: rank comparison and ordinal summaries omitted\n"
+        "question,group_a,group_b,u,p,significant\n"
+        "q1,visitors,teachers,22,0.0255425,true\n"
+        "q1,visitors,online,26,0.258018,false\n"
+        "q1,teachers,online,145.5,0.230804,false\n"
+        "q2,visitors,teachers,25.5,0.0492897,true\n"
+        "q2,visitors,online,2,0.00361093,true\n"
+        "q2,teachers,online,73.5,0.0462846,true\n"
+        "q3,visitors,teachers,94.5,0.0127578,true\n"
+        "q3,visitors,online,52,0.0513226,false\n"
+        "q3,teachers,online,128.5,0.624511,false\n"
+    ),
+}
+
 
 def subcommand_argvs(tmp_path) -> dict[str, list[str]]:
     """One seeded invocation of each subcommand; the survey ones read golden_survey() as CSV."""
@@ -301,3 +355,17 @@ def test_exploitability_reports_match_their_float_bits():
 def test_subcommand_stdout_is_pinned(capsys, tmp_path):
     got = {name: cli_stdout(argv, capsys, tmp_path) for name, argv in subcommand_argvs(tmp_path).items()}
     assert got == GOLDEN_STDOUT
+
+
+def test_subcommand_csv_stdout_is_pinned(capsys, tmp_path):
+    argvs = subcommand_argvs(tmp_path)
+    got = {name: cli_stdout(argv + ["--format", "csv"], capsys, tmp_path) for name, argv in argvs.items()}
+    assert got == GOLDEN_CSV_STDOUT
+
+
+def test_a_report_that_compares_nothing_prints_no_table_but_a_csv_header(capsys, tmp_path):
+    argv = subcommand_argvs(tmp_path)["report"]
+    argv[argv.index("q4")] = "q1,q2,q3,q4"
+    table = cli_stdout(argv, capsys, tmp_path)
+    assert {line.split(" ")[0] for line in table.splitlines()} == {"wrote", "note:"}
+    assert cli_stdout(argv + ["--format", "csv"], capsys, tmp_path) == table + "question,group_a,group_b,u,p,significant\n"

@@ -40,7 +40,7 @@ RECORDS = [SurveyRecord("r1", "g1", "q1", 3), SurveyRecord("r2", "g2", "q1", 4)]
 
 
 def command(*argv):
-    """Run one CLI subcommand without ``main``'s exit-code wrapper, so its ``InputError`` propagates."""
+    """Run one CLI subcommand without ``main``, so its ``InputError`` propagates; returns what it would print."""
     args = build_parser().parse_args(list(argv))
     return args.func(args)
 
